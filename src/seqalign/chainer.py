@@ -9,6 +9,7 @@ neighboring block and reported as substitution sites.
 Chains are generated directly in canonical form: an extension that is
 contiguous with its predecessor in both sequences is skipped, because the
 merged block is itself in the index and produces the same canonical chain.
+Each state is expanded once, so every chain is emitted once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .core import (
     EmptyInputError,
     Sequence,
     StructuralViolationError,
-    canonicalize,
     validate_chain,
 )
 from .gapstats import SelectionPolicy
@@ -31,7 +31,7 @@ from .matcher import MatchIndex
 
 @dataclass(frozen=True)
 class ChainOptions:
-    """Caps and preferences for candidate enumeration.
+    """Caps and coverage mode for candidate enumeration.
 
     max_candidates bounds the emitted list (after sorting, so the best
     survive). beam_width bounds the partial chains kept per frontier group;
@@ -42,7 +42,6 @@ class ChainOptions:
     max_candidates: int = 1024
     beam_width: int = 256
     require_full_coverage: bool = True
-    prefer_larger_blocks: bool = True
 
     def __post_init__(self):
         if self.max_candidates < 1:
@@ -86,17 +85,6 @@ def _beam_key(state: _State):
     return (total, var, tuple((b.v_start, b.s_start, b.length) for b in state.blocks))
 
 
-def _grouped_blocks(index: MatchIndex, prefer_larger: bool) -> dict:
-    by_v: dict = {}
-    for blocks in index.by_size.values():
-        for b in blocks:
-            by_v.setdefault(b.v_start, []).append(b)
-    order = (lambda b: (-b.length, b.s_start)) if prefer_larger else (lambda b: (b.s_start, b.length))
-    for lst in by_v.values():
-        lst.sort(key=order)
-    return by_v
-
-
 def _search(index: MatchIndex, n: int, m: int, opts: ChainOptions, full_cover: bool) -> list:
     """Frontier search over fragment positions; returns completed chains.
 
@@ -104,7 +92,13 @@ def _search(index: MatchIndex, n: int, m: int, opts: ChainOptions, full_cover: b
     mode the next block may skip fragment symbols provided the reference gap
     has room to hold them (so every emitted chain can be rendered).
     """
-    by_v = _grouped_blocks(index, opts.prefer_larger_blocks)
+    # Blocks by fragment start. Their order within a group is immaterial:
+    # beam pruning and the final sort both use total orders that include
+    # the block coordinates.
+    by_v: dict = {}
+    for blocks in index.by_size.values():
+        for b in blocks:
+            by_v.setdefault(b.v_start, []).append(b)
     frontier: dict = {0: [_State((), 0, 0, ())]}
     complete: list = []
 
@@ -173,14 +167,9 @@ def enumerate_candidates(
             states = [st for st in states if sum(b.length for b in st.blocks) == best]
             full_coverage = best == n
 
-    seen = set()
     entries = []
     for st in states:
-        chain = canonicalize(CandidateAlignment(blocks=st.blocks))
-        key = chain.key()
-        if key in seen:
-            continue
-        seen.add(key)
+        chain = CandidateAlignment(blocks=st.blocks, canonical=True)
         entries.append((chain, gapstats.chain_statistics(chain, m)))
 
     entries.sort(key=gapstats.sort_key(policy))

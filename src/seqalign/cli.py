@@ -188,10 +188,6 @@ def cmd_align(args) -> int:
     return EXIT_OK
 
 
-def _random_seq(rng: random.Random, length: int, symbols: str, id: str) -> Sequence:
-    return Sequence(id=id, residues="".join(rng.choice(symbols) for _ in range(length)))
-
-
 def _verify_matcher(rng, cases, max_m, max_n):
     max_m = max_m or 20
     max_n = max_n or 10
@@ -202,7 +198,8 @@ def _verify_matcher(rng, cases, max_m, max_n):
         if case % 10 == 9:
             s, v = Sequence("s", "A" * m), Sequence("v", "A" * n)
         else:
-            s, v = _random_seq(rng, m, symbols, "s"), _random_seq(rng, n, symbols, "v")
+            s = bench.random_sequence(rng, m, symbols, "s")
+            v = bench.random_sequence(rng, n, symbols, "v")
         index = matcher.enumerate_matches(s, v)
         for j in range(1, n + 1):
             got = set(index.by_size.get(j, ()))
@@ -219,7 +216,7 @@ def _verify_chainer(rng, cases, max_m, max_n):
     for case in range(cases):
         m = rng.randint(1, max_m)
         n = rng.randint(1, min(m, max_n))
-        s, v = _random_seq(rng, m, "AB", "s"), _random_seq(rng, n, "AB", "v")
+        s, v = bench.random_sequence(rng, m, "AB", "s"), bench.random_sequence(rng, n, "AB", "v")
         index = matcher.enumerate_matches(s, v)
         result = chainer.enumerate_candidates(index, s, v, uncapped)
         got = {chain.key() for chain in result.chains} if result.full_coverage else set()
@@ -239,7 +236,8 @@ def _verify_dp(rng, cases, max_m, max_n, local):
     for case in range(cases):
         m = rng.randint(1, max_m)
         n = rng.randint(1, max_n)
-        s, v = _random_seq(rng, m, "ACGT", "s"), _random_seq(rng, n, "ACGT", "v")
+        s = bench.random_sequence(rng, m, "ACGT", "s")
+        v = bench.random_sequence(rng, n, "ACGT", "v")
         for scheme in schemes:
             got = align(s, v, scheme).score
             want = brute(s, v, scheme)

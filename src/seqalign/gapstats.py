@@ -15,25 +15,25 @@ from .core import CandidateAlignment, EmptyInputError, GapStatistics, Structural
 
 MODES = ("mean_then_variance", "variance_only", "mean_only")
 
+TOLERANCE = 1e-9
+"""Primary-key values within this of the best count as tied in `select`."""
+
 
 @dataclass(frozen=True)
 class SelectionPolicy:
     """How to pick the winner among candidates.
 
-    mean_then_variance: smallest gap mean; means equal within `tolerance`
+    mean_then_variance: smallest gap mean; means equal within TOLERANCE
     are tied and broken by smaller variance.
     variance_only: smallest variance, ties broken by mean.
     mean_only: smallest mean, ties broken lexicographically.
     """
 
     mode: str = "mean_then_variance"
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown selection mode {self.mode!r}; choose from {MODES}")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
 
 
 def gap_runs(chain: CandidateAlignment, m: int) -> tuple:
@@ -90,7 +90,7 @@ def sort_key(policy: SelectionPolicy):
 def select(candidates, policy: SelectionPolicy | None = None) -> int:
     """Index of the winning (chain, statistics) pair under the policy.
 
-    Primary-key ties within the policy tolerance fall through to the next
+    Primary-key ties within TOLERANCE fall through to the next
     key; final ties break lexicographically on block coordinates, then on
     input position, so the result is total and deterministic.
     """
@@ -98,7 +98,6 @@ def select(candidates, policy: SelectionPolicy | None = None) -> int:
     entries = list(candidates)
     if not entries:
         raise EmptyInputError("cannot select from an empty candidate list")
-    tol = policy.tolerance
 
     def stats(i):
         return entries[i][1]
@@ -106,10 +105,10 @@ def select(candidates, policy: SelectionPolicy | None = None) -> int:
     pool = range(len(entries))
     if policy.mode == "variance_only":
         best_var = min(stats(i).variance for i in pool)
-        pool = [i for i in pool if stats(i).variance <= best_var + tol]
+        pool = [i for i in pool if stats(i).variance <= best_var + TOLERANCE]
         return min(pool, key=lambda i: (stats(i).mean, _lex_key(entries[i][0]), i))
     best_mean = min(stats(i).mean for i in pool)
-    pool = [i for i in pool if stats(i).mean <= best_mean + tol]
+    pool = [i for i in pool if stats(i).mean <= best_mean + TOLERANCE]
     if policy.mode == "mean_only":
         return min(pool, key=lambda i: (_lex_key(entries[i][0]), i))
     return min(pool, key=lambda i: (stats(i).variance, _lex_key(entries[i][0]), i))

@@ -24,6 +24,7 @@ from .core import (
     GapStatistics,
     MatchBlock,
     ParseError,
+    SeqalignError,
     Sequence,
     UPPERCASE,
     canonicalize,
@@ -116,8 +117,13 @@ def parse_plain(text: str, id: str = "seq", alphabet: Alphabet = UPPERCASE) -> S
 
 def load_sequences(path, alphabet: Alphabet = UPPERCASE) -> list:
     """Read a FASTA or plain-text sequence file (FASTA when it starts with '>')."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+    except OSError as exc:
+        raise SeqalignError(f"cannot read {path}: {exc.strerror}") from None
     stripped = text.lstrip()
     if stripped.startswith(">"):
         return parse_fasta(text, alphabet)

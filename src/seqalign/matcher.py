@@ -28,13 +28,9 @@ class MatchOptions:
     """Knobs for enumerate_matches.
 
     min_window excludes noise matches shorter than the given size.
-    early_stop ends the size descent once the blocks found so far already
-    admit a full-coverage chain; it is off by default because candidate
-    enumeration generally wants the complete index.
     """
 
     min_window: int = 1
-    early_stop: bool = False
 
     def __post_init__(self):
         if self.min_window < 1:
@@ -50,7 +46,6 @@ class MatchIndex:
     min_window: int
     by_size: dict = field(default_factory=dict)  # window length -> tuple[MatchBlock, ...]
     counters: ComparisonCounters = field(default_factory=ComparisonCounters)
-    early_stopped: bool = False
 
     def blocks(self) -> list:
         """All blocks across window sizes, largest windows first."""
@@ -71,28 +66,6 @@ class MatchIndex:
 
 def _as_bytes(seq: Sequence) -> np.ndarray:
     return np.frombuffer(seq.residues.encode("ascii"), dtype=np.uint8)
-
-
-def _full_coverage_possible(by_size: dict, n: int) -> bool:
-    """True when the blocks recorded so far can tile all of V.
-
-    Feasibility DP over fragment positions: reach[v] is the smallest S end
-    over chains tiling V[0:v]; a block starting at v extends it.
-    """
-    inf = float("inf")
-    reach = [inf] * (n + 1)
-    reach[0] = 0
-    starts: dict = {}
-    for blocks in by_size.values():
-        for b in blocks:
-            starts.setdefault(b.v_start, []).append(b)
-    for v_pos in range(n):
-        if reach[v_pos] == inf:
-            continue
-        for b in starts.get(v_pos, ()):
-            if b.s_start >= reach[v_pos] and b.s_end < reach[b.v_end]:
-                reach[b.v_end] = b.s_end
-    return reach[n] != inf
 
 
 def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None) -> MatchIndex:
@@ -119,7 +92,6 @@ def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None
     by_size: dict = {}
     substr_count = 0
     char_count = 0
-    early_stopped = False
 
     for j in range(n, min_window - 1, -1):
         s_windows = sliding_window_view(s_arr, j)  # (m - j + 1, j)
@@ -135,9 +107,6 @@ def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None
             for s_off in np.flatnonzero(full):
                 found.append(MatchBlock(v_off, int(s_off), j))
         by_size[j] = tuple(found)
-        if opts.early_stop and _full_coverage_possible(by_size, n):
-            early_stopped = True
-            break
 
     counters = ComparisonCounters(
         substring_comparisons=substr_count,
@@ -150,7 +119,6 @@ def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None
         min_window=min_window,
         by_size=by_size,
         counters=counters,
-        early_stopped=early_stopped,
     )
 
 
@@ -160,7 +128,7 @@ def claimed_formula_value(m: int, n: int) -> int:
 
 
 def count_comparisons(m: int, n: int, min_window: int = 1) -> ComparisonCounters:
-    """Closed-form predicted counters for a full (non-early-stopped) run.
+    """Closed-form predicted counters for a matcher run.
 
     substring_comparisons is sum over window sizes j of (n-j+1)*(m-j+1) and
     matches the measured count exactly. char_comparisons here is the

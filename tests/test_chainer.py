@@ -76,14 +76,26 @@ def test_uncapped_equals_exhaustive_on_random_instances():
 
 
 def test_emitted_chains_are_unique_and_canonical():
-    rng = random.Random(9)
-    for _ in range(40):
-        s, v = _random_pair(rng, 12, 6, "AB")
-        result = enumerate_candidates(enumerate_matches(s, v), s, v, UNCAPPED)
-        keys = [c.key() for c in result.chains]
-        assert len(keys) == len(set(keys))
-        for chain in result.chains:
-            assert canonicalize(chain).blocks == chain.blocks
+    # The chainer emits chains straight from its search, with no dedupe or
+    # re-canonicalization pass, so this must hold in every mode and beam.
+    for full_cover in (True, False):
+        for beam in (1, 3, ChainOptions().beam_width, 10**9):
+            opts = ChainOptions(
+                max_candidates=10**9, beam_width=beam, require_full_coverage=full_cover
+            )
+            rng = random.Random(9)
+            fallbacks = 0
+            for _ in range(40):
+                s, v = _random_pair(rng, 12, 6, "AB")
+                result = enumerate_candidates(enumerate_matches(s, v), s, v, opts)
+                fallbacks += full_cover and not result.full_coverage
+                keys = [c.key() for c in result.chains]
+                assert len(keys) == len(set(keys)), (full_cover, beam, s.residues, v.residues)
+                for chain in result.chains:
+                    assert chain.canonical
+                    assert canonicalize(chain).blocks == chain.blocks
+            if full_cover:
+                assert fallbacks  # the full-to-partial fallback was exercised
 
 
 def test_beam_keeps_policy_optimal_chain():
@@ -145,14 +157,6 @@ def test_relaxed_coverage_mode_maximizes_coverage():
     result = enumerate_candidates(enumerate_matches(s, v), s, v, opts)
     assert not result.full_coverage
     assert {chain.coverage for chain in result.chains} == {1}
-
-
-def test_prefer_larger_blocks_flag_does_not_change_output(dna_pair):
-    s, v = dna_pair
-    index = enumerate_matches(s, v)
-    a = enumerate_candidates(index, s, v, ChainOptions(prefer_larger_blocks=True))
-    b = enumerate_candidates(index, s, v, ChainOptions(prefer_larger_blocks=False))
-    assert [c.key() for c in a.chains] == [c.key() for c in b.chains]
 
 
 def test_index_sequence_mismatch_rejected(dna_pair):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from seqalign import baselines
 from seqalign.cli import main
 from conftest import KNOWN_PLACEMENTS, S_DNA, V_DNA
@@ -105,6 +107,22 @@ def test_align_file_inputs(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["s"]["id"] == "ref"
     assert doc["v"]["residues"] == V_DNA
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-ascii"])
+def test_align_unreadable_input_file_is_one_error_line(tmp_path, capsys, kind):
+    ref = tmp_path / "ref.txt"
+    ref.write_text(S_DNA + "\n")
+    frag = tmp_path / "frag"
+    if kind == "directory":
+        frag.mkdir()
+    elif kind == "non-ascii":
+        frag.write_bytes(b"TAC\xc3\x89TAG\n")
+    code, out, err = run(capsys, "align", str(ref), str(frag))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(frag) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_align_alphabet_flag_and_env(capsys, monkeypatch):

@@ -82,6 +82,9 @@ def test_select_breaks_mean_ties_by_variance():
     entries = _entries([(2.0, 5.0), (2.0, 1.0), (3.0, 0.0)])
     assert select(entries, SelectionPolicy(mode="mean_then_variance")) == 1
     assert select(entries, SelectionPolicy(mode="mean_only")) == 0  # input order
+    # Means within the fixed 1e-9 tolerance of the best count as tied.
+    near = _entries([(2.0, 5.0), (2.0 + 1e-10, 1.0), (2.0 + 1e-6, 0.0)])
+    assert select(near, SelectionPolicy(mode="mean_then_variance")) == 1
 
 
 def test_select_zero_gap_identity_wins_under_every_policy():
@@ -93,8 +96,6 @@ def test_select_zero_gap_identity_wins_under_every_policy():
 def test_policy_validation():
     with pytest.raises(ValueError):
         SelectionPolicy(mode="best")
-    with pytest.raises(ValueError):
-        SelectionPolicy(tolerance=-1.0)
 
 
 runs_strategy = st.lists(st.integers(1, 50), min_size=1, max_size=8)

@@ -146,26 +146,6 @@ def test_min_window_excludes_short_matches():
     assert sorted(index.by_size) == [2, 3]
 
 
-def test_early_stop_halts_once_full_coverage_is_possible():
-    s, v = _pair("ABXCD", "ABCD")
-    index = enumerate_matches(s, v, MatchOptions(early_stop=True))
-    assert index.early_stopped
-    # AB and CD at window two already tile the fragment, so the descent
-    # stops there.
-    assert sorted(index.by_size) == [2, 3, 4]
-
-    full = enumerate_matches(s, v)
-    assert not full.early_stopped
-    assert full.counters.substring_comparisons > index.counters.substring_comparisons
-
-
-def test_early_stop_never_triggers_without_full_coverage():
-    s, v = _pair("AAAA", "AB")
-    index = enumerate_matches(s, v, MatchOptions(early_stop=True))
-    assert not index.early_stopped
-    assert sorted(index.by_size) == [1, 2]
-
-
 def test_empty_and_misordered_inputs():
     s, v = _pair("ACGT", "")
     with pytest.raises(EmptyInputError):

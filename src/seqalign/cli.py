@@ -189,8 +189,8 @@ def cmd_align(args) -> int:
 
 
 def _verify_matcher(rng, cases, max_m, max_n):
-    max_m = max_m or 20
-    max_n = max_n or 10
+    max_m = 20 if max_m is None else max_m
+    max_n = 10 if max_n is None else max_n
     for case in range(cases):
         symbols = "AC" if case % 2 == 0 else "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
         m = rng.randint(1, max_m)
@@ -206,12 +206,18 @@ def _verify_matcher(rng, cases, max_m, max_n):
             want = set(oracle.naive_match_scan(s, v, j))
             if got != want:
                 return f"case {case}: S={s.residues} V={v.residues} window {j}: {sorted(got ^ want)}"
+        want_counters = oracle.naive_scan_counters(s, v, index.min_window)
+        if index.counters != want_counters:
+            return (
+                f"case {case}: S={s.residues} V={v.residues}: "
+                f"counters {index.counters} != oracle {want_counters}"
+            )
     return None
 
 
 def _verify_chainer(rng, cases, max_m, max_n):
-    max_m = max_m or 12
-    max_n = max_n or 6
+    max_m = 12 if max_m is None else max_m
+    max_n = 6 if max_n is None else max_n
     uncapped = chainer.ChainOptions(max_candidates=10**9, beam_width=10**9)
     for case in range(cases):
         m = rng.randint(1, max_m)
@@ -228,8 +234,8 @@ def _verify_chainer(rng, cases, max_m, max_n):
 
 def _verify_dp(rng, cases, max_m, max_n, local):
     limit = oracle.MAX_SCORE_LEN
-    max_m = min(max_m or limit, limit)
-    max_n = min(max_n or limit, limit)
+    max_m = limit if max_m is None else min(max_m, limit)
+    max_n = limit if max_n is None else min(max_n, limit)
     schemes = (ScoringScheme(1, -1, -1), ScoringScheme(2, -3, -1))
     align = baselines.smith_waterman if local else baselines.needleman_wunsch
     brute = oracle.exhaustive_local_score if local else oracle.exhaustive_global_score
@@ -252,6 +258,9 @@ def _verify_dp(rng, cases, max_m, max_n, local):
 def cmd_verify(args) -> int:
     if args.cases < 1:
         raise UsageError("--cases must be >= 1")
+    for flag, value in (("--max-m", args.max_m), ("--max-n", args.max_n)):
+        if value is not None and value < 1:
+            raise UsageError(f"{flag} must be >= 1")
     suites = {
         "matcher": _verify_matcher,
         "chainer": _verify_chainer,

@@ -1,9 +1,10 @@
 """Shrinking-window enumeration of all substring matches between two sequences.
 
-Window sizes run from n (the full fragment) down to `min_window`; every
-(v_offset, s_offset) placement is tested at every size, and every match is
-recorded as a MatchBlock. Comparison counters reflect exactly the work a
-short-circuiting symbol-by-symbol scanner would do.
+Window sizes run from n (the full fragment) down to `min_window`. One table,
+run[i, c] = length of the common run of V[i:] and S[c:], yields every match
+as a MatchBlock (size-j placements with run >= j) and counters exactly those
+of a short-circuiting symbol-by-symbol scanner, which inspects min(run + 1, j)
+symbols per placement. It is (n+1) x (m+1) of the smallest type holding n + 1.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     ComparisonCounters,
@@ -89,24 +89,22 @@ def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None
 
     s_arr = _as_bytes(s)
     v_arr = _as_bytes(v)
+    # Runs never exceed n, so run + 1 always fits the table's dtype.
+    run = np.zeros((n + 1, m + 1), dtype=np.min_scalar_type(n + 1))
+    for i in range(n - 1, -1, -1):
+        run[i, :m] = (v_arr[i] == s_arr) * (run[i + 1, 1:] + 1)
+
     by_size: dict = {}
     substr_count = 0
     char_count = 0
-
     for j in range(n, min_window - 1, -1):
-        s_windows = sliding_window_view(s_arr, j)  # (m - j + 1, j)
-        found = []
-        for v_off in range(n - j + 1):
-            eq = s_windows == v_arr[v_off : v_off + j]
-            full = eq.all(axis=1)
-            # Symbols a short-circuiting scan inspects: up to and including
-            # the first mismatch, or all j on a full match.
-            first_bad = np.argmin(eq, axis=1)
-            char_count += int(np.where(full, j, first_bad + 1).sum())
-            substr_count += eq.shape[0]
-            for s_off in np.flatnonzero(full):
-                found.append(MatchBlock(v_off, int(s_off), j))
-        by_size[j] = tuple(found)
+        window = run[: n - j + 1, : m - j + 1]  # rows v_offset, columns s_offset
+        substr_count += window.size
+        # Symbols a short-circuiting scan inspects: up to and including the
+        # first mismatch, or all j on a full match.
+        char_count += int(np.minimum(window + 1, j).sum())
+        hits = np.argwhere(window >= j).tolist()
+        by_size[j] = tuple(MatchBlock(v_off, s_off, j) for v_off, s_off in hits)
 
     counters = ComparisonCounters(
         substring_comparisons=substr_count,

@@ -1,12 +1,13 @@
 """Independent brute-force verifiers for the production modules.
 
 Deliberately naive and kept apart from the production code paths: the match
-scan is a plain double loop, chain enumeration explores every valid block
-combination (canonicalizing afterwards), and the alignment scores come from
-exhaustively scoring every monotone pairing of symbol positions — every
-global alignment with linear gap costs corresponds to exactly one such
-pairing, so the maximum over pairings is the maximum over alignments. Hard
-size limits raise SizeLimitError instead of running forever.
+scan and its comparison counts come from a plain double loop, chain
+enumeration explores every valid block combination (canonicalizing
+afterwards), and the alignment scores come from exhaustively scoring every
+monotone pairing of symbol positions — every global alignment with linear
+gap costs corresponds to exactly one such pairing, so the maximum over
+pairings is the maximum over alignments. Hard size limits raise
+SizeLimitError instead of running forever.
 """
 
 from __future__ import annotations
@@ -18,33 +19,56 @@ import numpy as np
 
 from .core import (
     CandidateAlignment,
+    ComparisonCounters,
     MatchBlock,
     ScoringScheme,
     Sequence,
     SizeLimitError,
     canonicalize,
 )
-from .matcher import MatchIndex
+from .matcher import MatchIndex, claimed_formula_value
 
 MAX_SCORE_LEN = 8
 MAX_CHAIN_BLOCKS = 512
 
 
-def naive_match_scan(s: Sequence, v: Sequence, j: int) -> list:
-    """All (v_off, s_off) placements where the two size-j substrings agree,
-    found by direct symbol-by-symbol double loop."""
+def _scan(s: Sequence, v: Sequence, j: int):
+    """Yield (v_off, s_off, k) for every size-j placement, where k is the
+    number of leading symbols that agree, found by direct symbol-by-symbol
+    double loop that stops at the first mismatch."""
     if not 1 <= j <= len(v) <= len(s):
         raise ValueError("need 1 <= j <= n <= m")
     a, b = s.residues, v.residues
-    out = []
     for v_off in range(len(b) - j + 1):
         for s_off in range(len(a) - j + 1):
             k = 0
             while k < j and b[v_off + k] == a[s_off + k]:
                 k += 1
-            if k == j:
-                out.append(MatchBlock(v_off, s_off, j))
-    return out
+            yield v_off, s_off, k
+
+
+def naive_match_scan(s: Sequence, v: Sequence, j: int) -> list:
+    """All (v_off, s_off) placements where the two size-j substrings agree,
+    in (v_off, s_off) order."""
+    return [MatchBlock(v_off, s_off, j) for v_off, s_off, k in _scan(s, v, j) if k == j]
+
+
+def naive_scan_counters(s: Sequence, v: Sequence, min_window: int = 1) -> ComparisonCounters:
+    """The counters of a short-circuiting scan over window sizes min_window..n:
+    one substring comparison per placement, and the symbols inspected up to
+    and including the first mismatch, or all j on a full match."""
+    if not 1 <= min_window <= len(v):
+        raise ValueError("need 1 <= min_window <= n")
+    substr = chars = 0
+    for j in range(min_window, len(v) + 1):
+        for _, _, k in _scan(s, v, j):
+            substr += 1
+            chars += min(k + 1, j)
+    return ComparisonCounters(
+        substring_comparisons=substr,
+        char_comparisons=chars,
+        claimed_comparisons=claimed_formula_value(len(s), len(v)),
+    )
 
 
 def exhaustive_chains(index: MatchIndex, n: int) -> list:

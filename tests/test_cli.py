@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from seqalign import baselines
+from seqalign import baselines, matcher
 from seqalign.cli import main
 from conftest import KNOWN_PLACEMENTS, S_DNA, V_DNA
 
@@ -152,10 +153,22 @@ def test_verify_all_suites_pass(capsys):
     assert out.count("ok ") == 4
 
 
-def test_verify_zero_cases_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "--suite", "nw", "--cases", "0")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "nw", "--cases", "0"),
+        ("--suite", "chainer", "--max-m", "-5", "--cases", "2"),
+        ("--suite", "nw", "--max-n", "-1"),
+        ("--suite", "matcher", "--max-m", "0"),
+    ],
+    ids=["cases-0", "max-m-negative", "max-n-negative", "max-m-0"],
+)
+def test_verify_zero_cases_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
     assert code == 1
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert out == ""
 
 
 def test_verify_reports_counterexample_for_bad_build(capsys, monkeypatch):
@@ -170,6 +183,22 @@ def test_verify_reports_counterexample_for_bad_build(capsys, monkeypatch):
     assert code == 3
     assert "FAIL nw" in out
     assert "S=" in out and "V=" in out  # reproducible counterexample
+
+    # Right blocks, one symbol comparison too many: the matcher suite checks
+    # the counters against the oracle's scan, not only the blocks.
+    real_matches = matcher.enumerate_matches
+
+    def miscounting(s, v, opts=None):
+        index = real_matches(s, v, opts)
+        counters = index.counters
+        index.counters = replace(counters, char_comparisons=counters.char_comparisons + 1)
+        return index
+
+    monkeypatch.setattr(matcher, "enumerate_matches", miscounting)
+    code, out, _ = run(capsys, "verify", "--suite", "matcher", "--seed", "7", "--cases", "5")
+    assert code == 3
+    assert "FAIL matcher" in out
+    assert "S=" in out and "V=" in out
 
 
 def test_bench_small_run(capsys):

@@ -12,7 +12,7 @@ from seqalign import (
     count_comparisons,
     enumerate_matches,
 )
-from seqalign.oracle import naive_match_scan
+from seqalign.oracle import naive_match_scan, naive_scan_counters
 from conftest import S_DNA, V_DNA
 
 
@@ -68,19 +68,33 @@ def test_blocks_validate_against_sequences():
 
 def test_counters_match_closed_form():
     rng = random.Random(11)
+    cases = []
     for _ in range(25):
         m = rng.randint(1, 24)
         n = rng.randint(1, m)
         min_window = rng.randint(1, n)
-        s, v = _pair(
+        cases.append((
             "".join(rng.choice("ACGT") for _ in range(m)),
             "".join(rng.choice("ACGT") for _ in range(n)),
-        )
+            min_window,
+        ))
+    # Runs of n symbols at n = 254..256 straddle the edge of the one-byte
+    # run-length table: a table one width too small overflows on run + 1.
+    # Each n gets a homopolymer pair and a random ACGT pair whose fragment
+    # is copied from the reference.
+    for n in (254, 255, 256):
+        s_res = "".join(rng.choice("ACGT") for _ in range(300))
+        cases.append(("A" * 300, "A" * n, n - 3))
+        cases.append((s_res, s_res[20 : 20 + n], n - 3))
+    for s_res, v_res, min_window in cases:
+        s, v = _pair(s_res, v_res)
+        m, n = len(s), len(v)
         measured = enumerate_matches(s, v, MatchOptions(min_window=min_window)).counters
         predicted = count_comparisons(m, n, min_window)
         assert measured.substring_comparisons == predicted.substring_comparisons
         assert measured.claimed_comparisons == predicted.claimed_comparisons
         assert measured.char_comparisons <= predicted.char_comparisons
+        assert measured == naive_scan_counters(s, v, min_window)
 
 
 def test_count_comparisons_known_values():
@@ -120,7 +134,7 @@ def test_completeness_against_naive_oracle(s_res, v_res):
     s, v = _pair(s_res, v_res)
     index = enumerate_matches(s, v)
     for j in range(1, len(v) + 1):
-        assert set(index.by_size[j]) == set(naive_match_scan(s, v, j))
+        assert list(index.by_size[j]) == naive_match_scan(s, v, j)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from seqalign import (
+    ComparisonCounters,
     MatchBlock,
     ScoringScheme,
     Sequence,
@@ -16,6 +17,7 @@ from seqalign.oracle import (
     exhaustive_global_score,
     exhaustive_local_score,
     naive_match_scan,
+    naive_scan_counters,
 )
 from conftest import KNOWN_PLACEMENTS, S_DNA, V_DNA
 
@@ -31,11 +33,20 @@ def test_naive_scan_counts_by_hand():
     assert set(blocks) == {MatchBlock(0, 0, 2), MatchBlock(0, 1, 2)}
     blocks = naive_match_scan(_seq("ABAB"), _seq("AB"), 2)
     assert set(blocks) == {MatchBlock(0, 0, 2), MatchBlock(0, 2, 2)}
+    # Size 2: AA stops at its second symbol, AB matches (2 + 2 symbols).
+    # Size 1: six one-symbol tests. Claimed: 1*2 + 2*1.
+    assert naive_scan_counters(_seq("AAB"), _seq("AB")) == ComparisonCounters(
+        substring_comparisons=8, char_comparisons=10, claimed_comparisons=4
+    )
+    assert naive_scan_counters(_seq("AAB"), _seq("AB"), min_window=2).char_comparisons == 4
 
 
 def test_naive_scan_rejects_bad_window():
     with pytest.raises(ValueError):
         naive_match_scan(_seq("AA"), _seq("A"), 2)
+    for min_window in (0, 2):
+        with pytest.raises(ValueError):
+            naive_scan_counters(_seq("AA"), _seq("A"), min_window)
 
 
 def test_exhaustive_chains_single_block():

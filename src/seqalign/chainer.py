@@ -14,6 +14,7 @@ Each state is expanded once, so every chain is emitted once.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,10 +34,10 @@ from .matcher import MatchIndex
 class ChainOptions:
     """Caps and coverage mode for candidate enumeration.
 
-    max_candidates bounds the emitted list (after sorting, so the best
-    survive). beam_width bounds the partial chains kept per frontier group;
-    groups are keyed by the next fragment position and pruned by current
-    interior gap total, then gap variance.
+    max_candidates bounds the emitted list: the best max_candidates in
+    policy order are kept by selection. beam_width likewise keeps the best
+    partial chains per frontier group; groups are keyed by the next fragment
+    position and ranked by current interior gap total, then gap variance.
     """
 
     max_candidates: int = 1024
@@ -82,7 +83,7 @@ def _beam_key(state: _State):
         var = sum((r - mean) ** 2 for r in state.runs) / len(state.runs)
     else:
         var = 0.0
-    return (total, var, tuple((b.v_start, b.s_start, b.length) for b in state.blocks))
+    return (total, var, state.blocks)
 
 
 def _search(index: MatchIndex, n: int, m: int, opts: ChainOptions, full_cover: bool) -> list:
@@ -93,8 +94,8 @@ def _search(index: MatchIndex, n: int, m: int, opts: ChainOptions, full_cover: b
     has room to hold them (so every emitted chain can be rendered).
     """
     # Blocks by fragment start. Their order within a group is immaterial:
-    # beam pruning and the final sort both use total orders that include
-    # the block coordinates.
+    # both cuts use total orders that end in the blocks, which compare as
+    # their (v_start, s_start, length) triples.
     by_v: dict = {}
     for blocks in index.by_size.values():
         for b in blocks:
@@ -107,24 +108,21 @@ def _search(index: MatchIndex, n: int, m: int, opts: ChainOptions, full_cover: b
         if not group:
             continue
         if len(group) > opts.beam_width:
-            group.sort(key=_beam_key)
-            group = group[: opts.beam_width]
+            group = heapq.nsmallest(opts.beam_width, group, key=_beam_key)
         for state in group:
             starts = [v_pos] if full_cover else range(v_pos, n)
             for v_start in starts:
                 for b in by_v.get(v_start, ()):
-                    v_gap = b.v_start - state.v_end
+                    runs = state.runs
                     if state.blocks:
                         s_gap = b.s_start - state.s_end
                         # Strict gap when contiguous in V keeps the chain
                         # canonical; a skipped V span needs that much room.
-                        if s_gap < max(v_gap, 1):
+                        if s_gap < max(b.v_start - state.v_end, 1):
                             continue
-                    else:
-                        if not full_cover and b.s_start < b.v_start:
-                            continue  # no room to place the leading span
-                        s_gap = 0
-                    runs = state.runs + (s_gap,) if state.blocks and s_gap > 0 else state.runs
+                        runs += (s_gap,)
+                    elif not full_cover and b.s_start < b.v_start:
+                        continue  # no room to place the leading span
                     new = _State(state.blocks + (b,), b.v_end, b.s_end, runs)
                     if full_cover:
                         if new.v_end == n:
@@ -169,13 +167,11 @@ def enumerate_candidates(
 
     entries = []
     for st in states:
-        chain = CandidateAlignment(blocks=st.blocks, canonical=True)
+        chain = CandidateAlignment(blocks=st.blocks)
         entries.append((chain, gapstats.chain_statistics(chain, m)))
 
-    entries.sort(key=gapstats.sort_key(policy))
     truncated = len(entries) > opts.max_candidates
-    if truncated:
-        entries = entries[: opts.max_candidates]
+    entries = heapq.nsmallest(opts.max_candidates, entries, key=gapstats.sort_key(policy))
     return ChainResult(entries=tuple(entries), truncated=truncated, full_coverage=full_coverage)
 
 

@@ -215,6 +215,15 @@ def _verify_matcher(rng, cases, max_m, max_n):
     return None
 
 
+# The documented candidate order of each policy, written out here instead of
+# taken from gapstats.sort_key, so the chainer suite checks the cut against it.
+_DOCUMENTED_ORDER = {
+    "mean_then_variance": lambda chain, st: (st.mean, st.variance, chain.key()),
+    "variance_only": lambda chain, st: (st.variance, st.mean, chain.key()),
+    "mean_only": lambda chain, st: (st.mean, chain.key()),
+}
+
+
 def _verify_chainer(rng, cases, max_m, max_n):
     max_m = 12 if max_m is None else max_m
     max_n = 6 if max_n is None else max_n
@@ -226,9 +235,27 @@ def _verify_chainer(rng, cases, max_m, max_n):
         index = matcher.enumerate_matches(s, v)
         result = chainer.enumerate_candidates(index, s, v, uncapped)
         got = {chain.key() for chain in result.chains} if result.full_coverage else set()
-        want = {chain.key() for chain in oracle.exhaustive_chains(index, n)}
+        exhaustive = oracle.exhaustive_chains(index, n)
+        want = {chain.key() for chain in exhaustive}
         if got != want:
             return f"case {case}: S={s.residues} V={v.residues}: chains differ {sorted(got ^ want)}"
+        if not result.full_coverage:
+            continue
+        # The max_candidates cut keeps exactly the best k in policy order.
+        k = 1 + case % 4
+        capped = chainer.ChainOptions(max_candidates=k, beam_width=10**9)
+        for mode, order in _DOCUMENTED_ORDER.items():
+            policy = gapstats.SelectionPolicy(mode=mode)
+            result = chainer.enumerate_candidates(index, s, v, capped, policy)
+            ranked = sorted(exhaustive, key=lambda c: order(c, gapstats.chain_statistics(c, m)))
+            got_keys = [chain.key() for chain in result.chains]
+            want_keys = [chain.key() for chain in ranked[:k]]
+            if got_keys != want_keys or result.truncated != (len(ranked) > k):
+                return (
+                    f"case {case}: S={s.residues} V={v.residues} {mode} max_candidates={k}: "
+                    f"kept {got_keys} truncated={result.truncated}, "
+                    f"oracle {want_keys} truncated={len(ranked) > k}"
+                )
     return None
 
 

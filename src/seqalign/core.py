@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -135,12 +136,10 @@ class CandidateAlignment:
     """An ordered, compatible chain of match blocks placing V along S.
 
     Blocks are sorted by v_start and never overlap or cross in either
-    sequence. `canonical` is set once consecutive blocks contiguous in
-    both sequences have been merged.
+    sequence.
     """
 
     blocks: tuple
-    canonical: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -168,7 +167,7 @@ def canonicalize(chain: CandidateAlignment) -> CandidateAlignment:
             merged.append(MatchBlock(last.v_start, last.s_start, last.length + b.length))
         else:
             merged.append(b)
-    return CandidateAlignment(blocks=tuple(merged), canonical=True)
+    return CandidateAlignment(blocks=tuple(merged))
 
 
 def validate_chain(chain: CandidateAlignment, s: Sequence, v: Sequence) -> None:
@@ -195,6 +194,9 @@ class ScoringScheme:
     gap_penalty: float = -1.0
 
     def __post_init__(self):
+        scores = (self.match_score, self.mismatch_penalty, self.gap_penalty)
+        if not all(map(math.isfinite, scores)):
+            raise ValueError(f"scores must be finite, got {scores}")
         if self.mismatch_penalty > 0:
             raise ValueError("mismatch_penalty must be <= 0")
         if self.gap_penalty > 0:

@@ -69,7 +69,7 @@ def chain_statistics(chain: CandidateAlignment, m: int) -> GapStatistics:
 
 
 def _lex_key(chain):
-    return chain.key() if chain is not None else ()
+    return chain.blocks if chain is not None else ()
 
 
 def sort_key(policy: SelectionPolicy):

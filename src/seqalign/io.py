@@ -27,7 +27,6 @@ from .core import (
     SeqalignError,
     Sequence,
     UPPERCASE,
-    canonicalize,
     validate_chain,
 )
 
@@ -181,7 +180,9 @@ def parse_rendered(block, s: Sequence, v: Sequence) -> CandidateAlignment:
         raise ParseError(f"only {k} of {n} fragment symbols appear in line 3")
     if not blocks:
         raise ParseError("alignment contains no matched positions")
-    chain = canonicalize(CandidateAlignment(blocks=tuple(blocks)))
+    # A block grows while it stays contiguous in both sequences, so the
+    # chain comes out canonical.
+    chain = CandidateAlignment(blocks=tuple(blocks))
     validate_chain(chain, s, v)
     return chain
 
@@ -296,9 +297,7 @@ def report_from_json(text: str) -> AlignmentReport:
         raise ParseError(f"unsupported report schema_version {version!r}")
     entries = []
     for cand in doc["candidates"]:
-        chain = CandidateAlignment(
-            blocks=tuple(MatchBlock(*b) for b in cand["blocks"]), canonical=True
-        )
+        chain = CandidateAlignment(blocks=tuple(MatchBlock(*b) for b in cand["blocks"]))
         stats = GapStatistics(
             runs=tuple(cand["runs"]), mean=cand["mean"], variance=cand["variance"]
         )

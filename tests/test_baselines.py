@@ -111,6 +111,13 @@ def test_scores_equal_exhaustive_oracles():
             assert smith_waterman(s, v, scheme).score == exhaustive_local_score(s, v, scheme)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_scoring_scheme_rejects_non_finite_values(bad):
+    for scores in ((bad, -1, -1), (1, bad, -1), (1, -1, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            ScoringScheme(*scores)
+
+
 def test_empty_inputs_rejected():
     with pytest.raises(EmptyInputError):
         needleman_wunsch(_seq(""), _seq("A"), UNIT)

@@ -42,7 +42,7 @@ def test_dna_example_contains_known_placements(dna_pair):
     assert result.full_coverage
     for chain in result.chains:
         assert chain.coverage == len(v)
-        assert chain.canonical
+        assert canonicalize(chain).blocks == chain.blocks
 
 
 def test_identity_pair_single_candidate():
@@ -92,7 +92,6 @@ def test_emitted_chains_are_unique_and_canonical():
                 keys = [c.key() for c in result.chains]
                 assert len(keys) == len(set(keys)), (full_cover, beam, s.residues, v.residues)
                 for chain in result.chains:
-                    assert chain.canonical
                     assert canonicalize(chain).blocks == chain.blocks
             if full_cover:
                 assert fallbacks  # the full-to-partial fallback was exercised

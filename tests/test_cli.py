@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from seqalign import baselines, matcher
+from seqalign import baselines, chainer, matcher
 from seqalign.cli import main
 from conftest import KNOWN_PLACEMENTS, S_DNA, V_DNA
 
@@ -147,6 +147,19 @@ def test_align_usage_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("algo", ["nw", "sw"])
+@pytest.mark.parametrize("scheme", ["1,-1,nan", "inf,-1,-1", "1,-inf,-1", "1,-1,-inf"])
+def test_align_non_finite_scheme_is_one_error_line(capsys, algo, scheme):
+    code, out, err = run(
+        capsys, "align", "--s", "ACGT", "--v", "AC", "--algo", algo,
+        f"--scheme={scheme}", "--format", "json",
+    )
+    assert code == 1
+    assert err.startswith("error: bad --scheme: ")
+    assert err.count("\n") == 1
+    assert out == ""
+
+
 def test_verify_all_suites_pass(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "42", "--cases", "15")
     assert code == 0
@@ -198,6 +211,25 @@ def test_verify_reports_counterexample_for_bad_build(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "matcher", "--seed", "7", "--cases", "5")
     assert code == 3
     assert "FAIL matcher" in out
+    assert "S=" in out and "V=" in out
+
+    # Every chain found, but the max_candidates cut keeps the worst k: the
+    # chainer suite checks the capped list against the oracle's ranking.
+    real_enumerate = chainer.enumerate_candidates
+
+    def keeps_worst(index, s, v, opts=None, policy=None):
+        opts = opts or chainer.ChainOptions()
+        full = real_enumerate(index, s, v, replace(opts, max_candidates=10**9), policy)
+        return replace(
+            full,
+            entries=full.entries[-opts.max_candidates :],
+            truncated=len(full.entries) > opts.max_candidates,
+        )
+
+    monkeypatch.setattr(chainer, "enumerate_candidates", keeps_worst)
+    code, out, _ = run(capsys, "verify", "--suite", "chainer", "--seed", "7", "--cases", "20")
+    assert code == 3
+    assert "FAIL chainer" in out
     assert "S=" in out and "V=" in out
 
 

@@ -65,7 +65,7 @@ def test_chain_rejects_overlap_and_crossing():
 def test_canonicalize_merges_doubly_contiguous_blocks():
     merged = canonicalize(chain_of(((0, 6, 3), (3, 9, 2))))
     assert merged.blocks == (MatchBlock(0, 6, 5),)
-    assert merged.canonical
+    assert canonicalize(merged).blocks == merged.blocks
 
 
 def test_canonicalize_keeps_blocks_split_by_reference_gap():

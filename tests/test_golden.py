@@ -43,6 +43,23 @@ GOLDEN = (
         "89cfedcff97ac2faadb6919e8ab0ee54c5e313a300c637b1bb83d20e5784f853",
         id="homopolymer-beam-4",
     ),
+    # A x 30 against A x 6 at default caps: 1,024 of the chains are kept
+    # and the report says truncated, so the max_candidates cut is pinned.
+    pytest.param(
+        ("--s", "A" * 30, "--v", "A" * 6, "--select", "mean"), 0,
+        "0f85dc9feb6f2601d70a66f8a6dcb456bc461840a2d6cea6bd2ebe6e4045f322",
+        id="homopolymer-truncated-mean",
+    ),
+    pytest.param(
+        ("--s", "A" * 30, "--v", "A" * 6, "--select", "variance"), 0,
+        "a79221183a4bc9b5bd850c3426fbb92f443da49a7350db8741d44f5060f87fc3",
+        id="homopolymer-truncated-variance",
+    ),
+    pytest.param(
+        ("--s", "A" * 30, "--v", "A" * 6, "--select", "mean-only"), 0,
+        "0d686736436122210162751625914afecb5f33e88d067a1c96456698d63de5d2",
+        id="homopolymer-truncated-mean-only",
+    ),
 )
 
 

@@ -70,6 +70,8 @@ def measure_growth(
         raise ValueError("every n must be <= every m (fragment never longer than reference)")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if not symbols:
+        raise ValueError("the alphabet must hold at least one symbol")
 
     rng = random.Random(seed)
     rows = []

@@ -97,9 +97,8 @@ def _search(index: MatchIndex, n: int, m: int, opts: ChainOptions, full_cover: b
     # both cuts use total orders that end in the blocks, which compare as
     # their (v_start, s_start, length) triples.
     by_v: dict = {}
-    for blocks in index.by_size.values():
-        for b in blocks:
-            by_v.setdefault(b.v_start, []).append(b)
+    for b in index.blocks():
+        by_v.setdefault(b.v_start, []).append(b)
     frontier: dict = {0: [_State((), 0, 0, ())]}
     complete: list = []
 

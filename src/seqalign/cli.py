@@ -176,7 +176,7 @@ def cmd_align(args) -> int:
         full_coverage=result.full_coverage,
         truncated=result.truncated,
         options={
-            "min_window": opts.min_window,
+            "min_window": index.min_window,
             "max_candidates": chain_opts.max_candidates,
             "beam_width": chain_opts.beam_width,
             "require_full_coverage": chain_opts.require_full_coverage,
@@ -201,11 +201,10 @@ def _verify_matcher(rng, cases, max_m, max_n):
             s = bench.random_sequence(rng, m, symbols, "s")
             v = bench.random_sequence(rng, n, symbols, "v")
         index = matcher.enumerate_matches(s, v)
-        for j in range(1, n + 1):
-            got = set(index.by_size.get(j, ()))
-            want = set(oracle.naive_match_scan(s, v, j))
-            if got != want:
-                return f"case {case}: S={s.residues} V={v.residues} window {j}: {sorted(got ^ want)}"
+        got = index.blocks()
+        want = [b for j in range(n, 0, -1) for b in oracle.naive_match_scan(s, v, j)]
+        if got != want:
+            return f"case {case}: S={s.residues} V={v.residues}: blocks {got} != oracle {want}"
         want_counters = oracle.naive_scan_counters(s, v, index.min_window)
         if index.counters != want_counters:
             return (
@@ -235,7 +234,7 @@ def _verify_chainer(rng, cases, max_m, max_n):
         index = matcher.enumerate_matches(s, v)
         result = chainer.enumerate_candidates(index, s, v, uncapped)
         got = {chain.key() for chain in result.chains} if result.full_coverage else set()
-        exhaustive = oracle.exhaustive_chains(index, n)
+        exhaustive = oracle.exhaustive_chains(index.blocks(), n)
         want = {chain.key() for chain in exhaustive}
         if got != want:
             return f"case {case}: S={s.residues} V={v.residues}: chains differ {sorted(got ^ want)}"

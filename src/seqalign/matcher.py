@@ -2,9 +2,12 @@
 
 Window sizes run from n (the full fragment) down to `min_window`. One table,
 run[i, c] = length of the common run of V[i:] and S[c:], yields every match
-as a MatchBlock (size-j placements with run >= j) and counters exactly those
-of a short-circuiting symbol-by-symbol scanner, which inspects min(run + 1, j)
-symbols per placement. It is (n+1) x (m+1) of the smallest type holding n + 1.
+and counters exactly those of a short-circuiting symbol-by-symbol scanner,
+which inspects min(run + 1, j) symbols per size-j placement. It is
+(n+1) x (m+1) of the smallest type holding n + 1. A size-j match at (i, c)
+exists exactly when run[i, c] >= j, so the index keeps one row
+(v_start, s_start, run) per cell with run >= min_window (the right-maximal
+matches) instead of one block per size.
 """
 
 from __future__ import annotations
@@ -13,14 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    ComparisonCounters,
-    EmptyInputError,
-    MatchBlock,
-    OrderViolationError,
-    Sequence,
-    validate_block,
-)
+from .core import ComparisonCounters, EmptyInputError, MatchBlock, OrderViolationError, Sequence
 
 
 @dataclass(frozen=True)
@@ -37,31 +33,31 @@ class MatchOptions:
             raise ValueError("min_window must be >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class MatchIndex:
-    """All recorded matches grouped by window size, plus work counters."""
+    """All recorded matches as rows, plus work counters.
+
+    hits is a (k, 3) integer array of rows (v_start, s_start, run), one per
+    placement with run >= min_window, in (v_start, s_start) order. A row
+    stands for its blocks of every size min_window..run; they all fit, since
+    a run never passes the end of either sequence.
+    """
 
     m: int
     n: int
     min_window: int
-    by_size: dict = field(default_factory=dict)  # window length -> tuple[MatchBlock, ...]
+    hits: np.ndarray
     counters: ComparisonCounters = field(default_factory=ComparisonCounters)
 
     def blocks(self) -> list:
-        """All blocks across window sizes, largest windows first."""
-        out = []
-        for j in sorted(self.by_size, reverse=True):
-            out.extend(self.by_size[j])
+        """All blocks, largest windows first, in (v_start, s_start) order within a size."""
+        out = [
+            MatchBlock(v_start, s_start, j)
+            for v_start, s_start, run in self.hits.tolist()
+            for j in range(self.min_window, run + 1)
+        ]
+        out.sort(key=lambda b: b.length, reverse=True)  # stable: row order within a size
         return out
-
-    def validate(self, s: Sequence, v: Sequence) -> None:
-        if len(s) != self.m or len(v) != self.n:
-            raise OrderViolationError("index was built for different sequence lengths")
-        for j, blocks in self.by_size.items():
-            for b in blocks:
-                if b.length != j:
-                    raise ValueError(f"block {b} filed under window size {j}")
-                validate_block(b, s, v)
 
 
 def _as_bytes(seq: Sequence) -> np.ndarray:
@@ -94,7 +90,9 @@ def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None
     for i in range(n - 1, -1, -1):
         run[i, :m] = (v_arr[i] == s_arr) * (run[i + 1, 1:] + 1)
 
-    by_size: dict = {}
+    found = run >= min_window  # both read row-major: (v_start, s_start) order
+    hits = np.column_stack((np.argwhere(found), run[found]))
+
     substr_count = 0
     char_count = 0
     for j in range(n, min_window - 1, -1):
@@ -103,8 +101,6 @@ def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None
         # Symbols a short-circuiting scan inspects: up to and including the
         # first mismatch, or all j on a full match.
         char_count += int(np.minimum(window + 1, j).sum())
-        hits = np.argwhere(window >= j).tolist()
-        by_size[j] = tuple(MatchBlock(v_off, s_off, j) for v_off, s_off in hits)
 
     counters = ComparisonCounters(
         substring_comparisons=substr_count,
@@ -115,7 +111,7 @@ def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None
         m=m,
         n=n,
         min_window=min_window,
-        by_size=by_size,
+        hits=hits,
         counters=counters,
     )
 

@@ -26,7 +26,7 @@ from .core import (
     SizeLimitError,
     canonicalize,
 )
-from .matcher import MatchIndex, claimed_formula_value
+from .matcher import claimed_formula_value
 
 MAX_SCORE_LEN = 8
 MAX_CHAIN_BLOCKS = 512
@@ -71,13 +71,13 @@ def naive_scan_counters(s: Sequence, v: Sequence, min_window: int = 1) -> Compar
     )
 
 
-def exhaustive_chains(index: MatchIndex, n: int) -> list:
-    """Every canonical full-coverage chain over the index's blocks.
+def exhaustive_chains(blocks: list, n: int) -> list:
+    """Every canonical full-coverage chain over the given blocks, such as a
+    match index's blocks() or any hand-picked set.
 
     Explores all valid tilings of the fragment, including ones with blocks
     contiguous in both sequences, then canonicalizes and deduplicates.
     """
-    blocks = index.blocks()
     if len(blocks) > MAX_CHAIN_BLOCKS:
         raise SizeLimitError(
             f"{len(blocks)} blocks exceed the exhaustive-chain limit of {MAX_CHAIN_BLOCKS}"

@@ -124,11 +124,10 @@ def test_criterion_4_matcher_completeness():
                 s, v = Sequence("s", "A" * m), Sequence("v", "A" * n)
             else:
                 s, v = _random_pair(rng, 20, 10, symbols)
-            index = enumerate_matches(s, v)
+            blocks = enumerate_matches(s, v).blocks()
             for j in range(1, len(v) + 1):
-                assert set(index.by_size[j]) == set(naive_match_scan(s, v, j)), (
-                    s.residues, v.residues, j,
-                )
+                got = [b for b in blocks if b.length == j]
+                assert got == naive_match_scan(s, v, j), (s.residues, v.residues, j)
 
 
 def test_criterion_5_chainer_equals_exhaustive_enumeration():
@@ -140,7 +139,7 @@ def test_criterion_5_chainer_equals_exhaustive_enumeration():
             index = enumerate_matches(s, v)
             result = enumerate_candidates(index, s, v, UNCAPPED)
             got = {c.key() for c in result.chains} if result.full_coverage else set()
-            want = {c.key() for c in exhaustive_chains(index, len(v))}
+            want = {c.key() for c in exhaustive_chains(index.blocks(), len(v))}
             assert got == want, (s.residues, v.residues)
 
 

@@ -40,3 +40,5 @@ def test_measure_growth_validation():
         measure_growth([8], [4], repeats=0)
     with pytest.raises(ValueError):
         measure_growth([0], [1])
+    with pytest.raises(ValueError):
+        measure_growth([8], [4], symbols="")

@@ -59,7 +59,7 @@ def test_uncapped_equals_exhaustive_on_dna_example(dna_pair):
     s, v = dna_pair
     index = enumerate_matches(s, v)
     got = enumerate_candidates(index, s, v, UNCAPPED)
-    want = exhaustive_chains(index, len(v))
+    want = exhaustive_chains(index.blocks(), len(v))
     assert {c.key() for c in got.chains} == {c.key() for c in want}
     assert not got.truncated
 
@@ -70,7 +70,7 @@ def test_uncapped_equals_exhaustive_on_random_instances():
         s, v = _random_pair(rng, 12, 6, "AB")
         index = enumerate_matches(s, v)
         result = enumerate_candidates(index, s, v, UNCAPPED)
-        want = {c.key() for c in exhaustive_chains(index, len(v))}
+        want = {c.key() for c in exhaustive_chains(index.blocks(), len(v))}
         got = {c.key() for c in result.chains} if result.full_coverage else set()
         assert got == want, (s.residues, v.residues)
 

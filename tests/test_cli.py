@@ -40,6 +40,15 @@ def test_align_identity_pair(capsys):
     assert doc["candidates"][0]["variance"] == 0
 
 
+def test_align_json_echoes_effective_min_window(capsys):
+    # The matcher clamps --min-window to the fragment length n = 2.
+    code, out, _ = run(
+        capsys, "align", "--s", "ACGT", "--v", "AC", "--min-window", "9", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["options"]["min_window"] == 2
+
+
 def test_align_text_output_has_display(capsys):
     code, out, _ = run(capsys, "align", "--s", "ABC", "--v", "ABC")
     assert code == 0
@@ -207,11 +216,28 @@ def test_verify_reports_counterexample_for_bad_build(capsys, monkeypatch):
         index.counters = replace(counters, char_comparisons=counters.char_comparisons + 1)
         return index
 
-    monkeypatch.setattr(matcher, "enumerate_matches", miscounting)
-    code, out, _ = run(capsys, "verify", "--suite", "matcher", "--seed", "7", "--cases", "5")
-    assert code == 3
-    assert "FAIL matcher" in out
-    assert "S=" in out and "V=" in out
+    def short_run(s, v, opts=None):
+        index = real_matches(s, v, opts)
+        index.hits[:1, 2] -= 1  # drops the first row's largest block
+        return index
+
+    # Counters right, but one row's run one short. Then every block right,
+    # but the sizes listed smallest first: a per-size set comparison passes
+    # that build, the ordered comparison does not.
+    real_blocks = matcher.MatchIndex.blocks
+    builds = (
+        (matcher, "enumerate_matches", miscounting),
+        (matcher, "enumerate_matches", short_run),
+        (matcher.MatchIndex, "blocks", lambda index: sorted(real_blocks(index), key=lambda b: b.length)),
+    )
+    for target, name, bad in builds:
+        monkeypatch.undo()
+        monkeypatch.setattr(target, name, bad)
+        code, out, _ = run(capsys, "verify", "--suite", "matcher", "--seed", "7", "--cases", "5")
+        assert code == 3
+        assert "FAIL matcher" in out
+        assert "S=" in out and "V=" in out
+    monkeypatch.undo()
 
     # Every chain found, but the max_candidates cut keeps the worst k: the
     # chainer suite checks the capped list against the oracle's ranking.
@@ -256,3 +282,11 @@ def test_bench_degenerate_ranges(capsys):
     assert code == 1 and "fragment" in err
     code, _, err = run(capsys, "bench", "--m-range", "64:8:x2", "--n-range", "4")
     assert code == 1
+
+
+def test_bench_empty_alphabet_is_one_error_line(capsys):
+    code, out, err = run(capsys, "bench", "--alphabet=", "--m-range", "8", "--n-range", "4")
+    assert code == 1
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert out == ""

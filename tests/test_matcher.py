@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from seqalign import (
     Sequence,
     count_comparisons,
     enumerate_matches,
+    validate_block,
 )
 from seqalign.oracle import naive_match_scan, naive_scan_counters
 from conftest import S_DNA, V_DNA
@@ -20,50 +22,63 @@ def _pair(s, v):
     return Sequence("s", s), Sequence("v", v)
 
 
+def _of_size(index, j):
+    return [b for b in index.blocks() if b.length == j]
+
+
 def test_full_window_pass_makes_six_comparisons_and_no_match():
     # 13-symbol reference vs 8-symbol fragment: the full-size window slides
     # over exactly six offsets and none of them matches.
     s, v = _pair("FTFTALILLAVAV", "FTALLAAV")
     index = enumerate_matches(s, v, MatchOptions(min_window=8))
     assert index.counters.substring_comparisons == 6
-    assert index.by_size[8] == ()
+    assert index.blocks() == []
 
 
 def test_identity_sequences_record_all_sub_blocks():
     s, v = _pair("ABC", "ABC")
     index = enumerate_matches(s, v)
-    assert index.by_size[3] == (MatchBlock(0, 0, 3),)
+    assert _of_size(index, 3) == [MatchBlock(0, 0, 3)]
     for j in (1, 2, 3):
-        assert set(index.by_size[j]) == set(naive_match_scan(s, v, j))
+        assert _of_size(index, j) == naive_match_scan(s, v, j)
 
 
 def test_dna_example_matches_naive_scan_at_every_window():
     s, v = _pair(S_DNA, V_DNA)
     index = enumerate_matches(s, v)
     for j in range(1, len(v) + 1):
-        assert set(index.by_size[j]) == set(naive_match_scan(s, v, j))
+        assert _of_size(index, j) == naive_match_scan(s, v, j)
 
 
 def test_degenerate_repeat_input():
     s, v = _pair("AAAA", "AA")
     index = enumerate_matches(s, v)
-    assert len(index.by_size[2]) == 3
-    assert len(index.by_size[1]) == 8
+    assert len(_of_size(index, 2)) == 3
+    assert len(_of_size(index, 1)) == 8
     for j in (1, 2):
-        assert set(index.by_size[j]) == set(naive_match_scan(s, v, j))
+        assert _of_size(index, j) == naive_match_scan(s, v, j)
 
 
 def test_determinism():
     s, v = _pair("AGGAGTAC", "GAGT")
     a = enumerate_matches(s, v)
     b = enumerate_matches(s, v)
-    assert a.by_size == b.by_size
+    assert np.array_equal(a.hits, b.hits)
+    assert a.blocks() == b.blocks()
     assert a.counters == b.counters
 
 
 def test_blocks_validate_against_sequences():
     s, v = _pair(S_DNA, V_DNA)
-    enumerate_matches(s, v).validate(s, v)
+    index = enumerate_matches(s, v)
+    for b in index.blocks():
+        validate_block(b, s, v)
+    # Each row's run is maximal: it matches, then ends at a sequence end or
+    # at a mismatch.
+    for v_start, s_start, run in index.hits.tolist():
+        assert v.residues[v_start : v_start + run] == s.residues[s_start : s_start + run]
+        v_end, s_end = v_start + run, s_start + run
+        assert v_end == len(v) or s_end == len(s) or v.residues[v_end] != s.residues[s_end]
 
 
 def test_counters_match_closed_form():
@@ -89,12 +104,16 @@ def test_counters_match_closed_form():
     for s_res, v_res, min_window in cases:
         s, v = _pair(s_res, v_res)
         m, n = len(s), len(v)
-        measured = enumerate_matches(s, v, MatchOptions(min_window=min_window)).counters
+        index = enumerate_matches(s, v, MatchOptions(min_window=min_window))
+        measured = index.counters
         predicted = count_comparisons(m, n, min_window)
         assert measured.substring_comparisons == predicted.substring_comparisons
         assert measured.claimed_comparisons == predicted.claimed_comparisons
         assert measured.char_comparisons <= predicted.char_comparisons
         assert measured == naive_scan_counters(s, v, min_window)
+        if n >= 254:  # the row's run column across the uint8/uint16 edge
+            want = [b for j in range(n, min_window - 1, -1) for b in naive_match_scan(s, v, j)]
+            assert index.blocks() == want
 
 
 def test_count_comparisons_known_values():
@@ -134,7 +153,7 @@ def test_completeness_against_naive_oracle(s_res, v_res):
     s, v = _pair(s_res, v_res)
     index = enumerate_matches(s, v)
     for j in range(1, len(v) + 1):
-        assert list(index.by_size[j]) == naive_match_scan(s, v, j)
+        assert _of_size(index, j) == naive_match_scan(s, v, j)
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,8 +167,8 @@ def test_larger_windows_imply_smaller_ones(s_res, v_res):
     s, v = _pair(s_res, v_res)
     index = enumerate_matches(s, v)
     for j in range(2, len(v) + 1):
-        smaller = set(index.by_size[j - 1])
-        for b in index.by_size[j]:
+        smaller = set(_of_size(index, j - 1))
+        for b in _of_size(index, j):
             assert MatchBlock(b.v_start, b.s_start, j - 1) in smaller
             assert MatchBlock(b.v_start + 1, b.s_start + 1, j - 1) in smaller
 
@@ -157,7 +176,7 @@ def test_larger_windows_imply_smaller_ones(s_res, v_res):
 def test_min_window_excludes_short_matches():
     s, v = _pair("ABCABD", "ABC")
     index = enumerate_matches(s, v, MatchOptions(min_window=2))
-    assert sorted(index.by_size) == [2, 3]
+    assert min(b.length for b in index.blocks()) == 2
 
 
 def test_empty_and_misordered_inputs():

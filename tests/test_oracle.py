@@ -10,7 +10,6 @@ from seqalign import (
     SizeLimitError,
     enumerate_matches,
 )
-from seqalign.matcher import MatchIndex
 from seqalign.oracle import (
     MAX_CHAIN_BLOCKS,
     exhaustive_chains,
@@ -19,7 +18,7 @@ from seqalign.oracle import (
     naive_match_scan,
     naive_scan_counters,
 )
-from conftest import KNOWN_PLACEMENTS, S_DNA, V_DNA
+from conftest import KNOWN_PLACEMENTS, V_DNA
 
 UNIT = ScoringScheme(1, -1, -1)
 
@@ -51,44 +50,33 @@ def test_naive_scan_rejects_bad_window():
 
 def test_exhaustive_chains_single_block():
     s, v = _seq("XXABCX"), _seq("ABC")
-    index = enumerate_matches(s, v)
-    chains = exhaustive_chains(index, len(v))
+    chains = exhaustive_chains(enumerate_matches(s, v).blocks(), len(v))
     full = [c for c in chains if c.coverage == 3 and len(c.blocks) == 1]
     assert [b for c in full for b in c.blocks] == [MatchBlock(0, 2, 3)]
 
 
 def test_exhaustive_chains_none_when_no_tiling():
     s, v = _seq("AAAA"), _seq("AB")
-    index = enumerate_matches(s, v)
-    assert exhaustive_chains(index, len(v)) == []
+    assert exhaustive_chains(enumerate_matches(s, v).blocks(), len(v)) == []
 
 
 def test_exhaustive_chains_on_restricted_block_set():
-    # Restrict the index to the blocks of the four known DNA placements;
+    # Restrict the blocks to those of the four known DNA placements;
     # the exhaustive search must return those four chains (plus any other
     # valid combination of the same blocks) and nothing invalid.
-    s, v = _seq(S_DNA, "s"), _seq(V_DNA, "v")
     blocks = sorted({MatchBlock(*c) for coords in KNOWN_PLACEMENTS for c in coords})
-    by_size: dict = {}
-    for b in blocks:
-        by_size.setdefault(b.length, []).append(b)
-    index = MatchIndex(
-        m=len(s), n=len(v), min_window=1,
-        by_size={j: tuple(bs) for j, bs in by_size.items()},
-    )
-    chains = exhaustive_chains(index, len(v))
+    chains = exhaustive_chains(blocks, len(V_DNA))
     keys = {c.key() for c in chains}
     for coords in KNOWN_PLACEMENTS:
         assert coords in keys
     for c in chains:
-        assert c.coverage == len(v)
+        assert c.coverage == len(V_DNA)
 
 
 def test_exhaustive_chains_size_limit():
-    many = tuple(MatchBlock(0, i, 1) for i in range(MAX_CHAIN_BLOCKS + 1))
-    index = MatchIndex(m=MAX_CHAIN_BLOCKS + 1, n=1, min_window=1, by_size={1: many})
+    many = [MatchBlock(0, i, 1) for i in range(MAX_CHAIN_BLOCKS + 1)]
     with pytest.raises(SizeLimitError):
-        exhaustive_chains(index, 1)
+        exhaustive_chains(many, 1)
 
 
 def test_global_score_tiny_cases():

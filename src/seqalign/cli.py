@@ -8,6 +8,7 @@ counterexample. Errors go to standard error prefixed with "error: ".
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -312,8 +313,8 @@ def _parse_size_range(spec: str) -> list:
             if not step.startswith("x"):
                 raise ValueError("step must look like x2")
             factor = float(step[1:])
-            if lo < 1 or hi < lo or factor <= 1:
-                raise ValueError("range must grow")
+            if lo < 1 or hi < lo or not 1 < factor < math.inf:
+                raise ValueError("range must grow by a finite factor")
             values = []
             x = float(lo)
             while round(x) <= hi:

@@ -244,7 +244,7 @@ def _emit_json(report: AlignmentReport) -> str:
             "match_mask": list(report.scored.match_mask),
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _emit_text(report: AlignmentReport) -> str:

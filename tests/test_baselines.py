@@ -5,6 +5,7 @@ import pytest
 from seqalign import (
     EmptyInputError,
     ScoringScheme,
+    SeqalignError,
     Sequence,
     needleman_wunsch,
     smith_waterman,
@@ -109,6 +110,38 @@ def test_scores_equal_exhaustive_oracles():
         for scheme in (UNIT, SKEWED):
             assert needleman_wunsch(s, v, scheme).score == exhaustive_global_score(s, v, scheme)
             assert smith_waterman(s, v, scheme).score == exhaustive_local_score(s, v, scheme)
+
+
+def test_global_traceback_stays_on_grid_with_fractional_gaps():
+    # The left border holds gap * i, which need not equal the rounded sum
+    # grid[i - 1][0] + gap; the traceback must still walk up it to (0, 0).
+    out = needleman_wunsch(_seq("CCCAAACACACACA"), _seq("CC"), ScoringScheme(0.3, -1, -0.3))
+    assert out.aligned_s.replace("-", "") == "CCCAAACACACACA"
+    assert out.aligned_v.replace("-", "") == "CC"
+    rng = random.Random(10)
+    for _ in range(200):
+        s = _seq("".join(rng.choice("AC") for _ in range(rng.randint(1, 14))))
+        v = _seq("".join(rng.choice("AC") for _ in range(rng.randint(1, 14))))
+        scheme = ScoringScheme(
+            rng.choice((1, 0.5, 0.3)), rng.choice((-1, -0.7)), rng.choice((-0.1, -0.3, -0.7))
+        )
+        out = needleman_wunsch(s, v, scheme)
+        assert out.aligned_s.replace("-", "") == s.residues
+        assert out.aligned_v.replace("-", "") == v.residues
+        assert column_score(out.aligned_s, out.aligned_v, scheme) == pytest.approx(out.score)
+
+
+@pytest.mark.parametrize(
+    "align, scheme",
+    [
+        (smith_waterman, ScoringScheme(1e308, -1e308, -1)),
+        (needleman_wunsch, ScoringScheme(1, -1e308, -1e308)),
+    ],
+    ids=["sw-inf", "nw-minus-inf"],
+)
+def test_overflowing_score_raises(align, scheme):
+    with pytest.raises(SeqalignError, match="overflows"):
+        align(_seq("ACGT"), _seq("AC"), scheme)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

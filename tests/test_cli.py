@@ -169,6 +169,24 @@ def test_align_non_finite_scheme_is_one_error_line(capsys, algo, scheme):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "algo, scheme",
+    [("sw", "1e308,-1e308,-1"), ("nw", "1,-1e308,-1e308")],
+    ids=["sw-inf", "nw-minus-inf"],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_align_overflowing_score_is_one_error_line(capsys, algo, scheme, fmt):
+    # Every value is finite, but the optimal score's sum is not.
+    code, out, err = run(
+        capsys, "align", "--s", "ACGT", "--v", "AC", "--algo", algo,
+        f"--scheme={scheme}", "--format", fmt,
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "overflows" in err
+    assert err.count("\n") == 1
+    assert out == ""
+
+
 def test_verify_all_suites_pass(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "42", "--cases", "15")
     assert code == 0
@@ -282,6 +300,9 @@ def test_bench_degenerate_ranges(capsys):
     assert code == 1 and "fragment" in err
     code, _, err = run(capsys, "bench", "--m-range", "64:8:x2", "--n-range", "4")
     assert code == 1
+    code, out, err = run(capsys, "bench", "--m-range", "1:10:xinf", "--n-range", "1")
+    assert code == 1 and err.startswith("error: ") and "finite" in err
+    assert err.count("\n") == 1 and out == ""
 
 
 def test_bench_empty_alphabet_is_one_error_line(capsys):

@@ -63,7 +63,64 @@ GOLDEN = (
 )
 
 
-@pytest.mark.parametrize("args, exit_code, digest", GOLDEN)
+# The nw and sw baselines. AB/B and ACGTTGCA/TTG are all ties between
+# gap placements; GTCTAG/GTTGAG takes the diagonal, up and left traceback
+# branches in both aligners.
+BASELINE_GOLDEN = (
+    pytest.param(
+        ("--algo", "nw", "--s", S_DNA, "--v", V_DNA, "--scheme=1,-1,-1"), 0,
+        "65a8942bbceb21c6e397d08e68be315e522a799b8038ec1150a5172fd113c229",
+        id="dna-nw-unit",
+    ),
+    pytest.param(
+        ("--algo", "nw", "--s", S_DNA, "--v", V_DNA, "--scheme=2,-3,-1"), 0,
+        "181c25f9ab1024ed8a968b7ddaa260526a4bdb3029708a953d528d2761bcf5b5",
+        id="dna-nw-skewed",
+    ),
+    pytest.param(
+        ("--algo", "nw", "--s", "AB", "--v", "B", "--scheme=1,-1,-1"), 0,
+        "163582ef029fd11c2bf5ab5837daadc5015a04de0a2536e8b786709fdb311f6c",
+        id="ties-nw-ab",
+    ),
+    pytest.param(
+        ("--algo", "nw", "--s", "ACGTTGCA", "--v", "TTG", "--scheme=1,-1,-1"), 0,
+        "b83e6508bebbe2880833da7d411d3d4fea99ea2006f266f474faa443a011b5ad",
+        id="ties-nw-ttg",
+    ),
+    pytest.param(
+        ("--algo", "nw", "--s", "GTCTAG", "--v", "GTTGAG", "--scheme=1,-1,-1"), 0,
+        "af5c6ab16b4e3a8d134b9f957786788f49627c72f72bace2e04a72d6eef4fb67",
+        id="branches-nw",
+    ),
+    pytest.param(
+        ("--algo", "sw", "--s", S_DNA, "--v", V_DNA, "--scheme=1,-1,-1"), 0,
+        "d4da86ec72be38f8c658eb738f815c101ee69503f2228bc2d71b00b246f1aa89",
+        id="dna-sw-unit",
+    ),
+    pytest.param(
+        ("--algo", "sw", "--s", S_DNA, "--v", V_DNA, "--scheme=2,-3,-1"), 0,
+        "f33d51fecdf8182124f7a4bd1d82e9b4c9d0cb5cd3c09782ed693373f8b738bf",
+        id="dna-sw-skewed",
+    ),
+    pytest.param(
+        ("--algo", "sw", "--s", "AB", "--v", "B", "--scheme=1,-1,-1"), 0,
+        "c18d2f4b7130b3cac37f6dcf6562ad756aa30273b9db0c8d0e180d475f972fdb",
+        id="ties-sw-ab",
+    ),
+    pytest.param(
+        ("--algo", "sw", "--s", "ACGTTGCA", "--v", "TTG", "--scheme=1,-1,-1"), 0,
+        "5fa311378f45548b67162850d257077021108bb63a9370df44c6e7d2471b0824",
+        id="ties-sw-ttg",
+    ),
+    pytest.param(
+        ("--algo", "sw", "--s", "GTCTAG", "--v", "GTTGAG", "--scheme=1,-1,-1"), 0,
+        "da5586d9235bc9eff785a5601490d4e66a8c7dedaf22af6f0d4055abc19971d6",
+        id="branches-sw",
+    ),
+)
+
+
+@pytest.mark.parametrize("args, exit_code, digest", GOLDEN + BASELINE_GOLDEN)
 def test_json_report_bytes_are_pinned(capsys, args, exit_code, digest):
     code = main(["align", *args, "--format", "json"])
     out = capsys.readouterr().out

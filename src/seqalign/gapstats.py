@@ -10,23 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import CandidateAlignment, EmptyInputError, GapStatistics, StructuralViolationError
 
 MODES = ("mean_then_variance", "variance_only", "mean_only")
-
-TOLERANCE = 1e-9
-"""Primary-key values within this of the best count as tied in `select`."""
 
 
 @dataclass(frozen=True)
 class SelectionPolicy:
     """How to pick the winner among candidates.
 
-    mean_then_variance: smallest gap mean; means equal within TOLERANCE
-    are tied and broken by smaller variance.
-    variance_only: smallest variance, ties broken by mean.
-    mean_only: smallest mean, ties broken lexicographically.
+    mean_then_variance: smallest gap mean, ties broken by smaller variance.
+    variance_only: smallest variance, compared exactly, ties broken by mean.
+    mean_only: smallest mean.
+    Remaining ties break lexicographically on the chain's blocks.
     """
 
     mode: str = "mean_then_variance"
@@ -68,47 +66,34 @@ def chain_statistics(chain: CandidateAlignment, m: int) -> GapStatistics:
     return statistics(gap_runs(chain, m))
 
 
-def _lex_key(chain):
-    return chain.blocks if chain is not None else ()
-
-
 def sort_key(policy: SelectionPolicy):
-    """Deterministic ordering key for (chain, stats) entries under a policy."""
+    """Ordering key for (chain, stats) entries: the one policy order.
+
+    Float means order exactly, as distinct means t/k with k <= n lie 1/n^2
+    apart. variance_only compares the variance exactly, mean_then_variance
+    as a float.
+    """
     mode = policy.mode
 
     def key(entry):
         chain, stats = entry
         if mode == "variance_only":
-            return (stats.variance, stats.mean, _lex_key(chain))
+            k, runs = len(stats.runs), stats.runs
+            variance = Fraction(k * sum(r * r for r in runs) - sum(runs) ** 2, k * k or 1)
+            return (variance, stats.mean, chain.blocks)
         if mode == "mean_only":
-            return (stats.mean, _lex_key(chain))
-        return (stats.mean, stats.variance, _lex_key(chain))
+            return (stats.mean, chain.blocks)
+        return (stats.mean, stats.variance, chain.blocks)
 
     return key
 
 
 def select(candidates, policy: SelectionPolicy | None = None) -> int:
-    """Index of the winning (chain, statistics) pair under the policy.
-
-    Primary-key ties within TOLERANCE fall through to the next
-    key; final ties break lexicographically on block coordinates, then on
-    input position, so the result is total and deterministic.
-    """
+    """Index of the first minimum under sort_key(policy); 0 on the chainer's
+    output, which is sorted by that key."""
     policy = policy or SelectionPolicy()
     entries = list(candidates)
     if not entries:
         raise EmptyInputError("cannot select from an empty candidate list")
-
-    def stats(i):
-        return entries[i][1]
-
-    pool = range(len(entries))
-    if policy.mode == "variance_only":
-        best_var = min(stats(i).variance for i in pool)
-        pool = [i for i in pool if stats(i).variance <= best_var + TOLERANCE]
-        return min(pool, key=lambda i: (stats(i).mean, _lex_key(entries[i][0]), i))
-    best_mean = min(stats(i).mean for i in pool)
-    pool = [i for i in pool if stats(i).mean <= best_mean + TOLERANCE]
-    if policy.mode == "mean_only":
-        return min(pool, key=lambda i: (_lex_key(entries[i][0]), i))
-    return min(pool, key=lambda i: (stats(i).variance, _lex_key(entries[i][0]), i))
+    key = sort_key(policy)
+    return min(range(len(entries)), key=lambda i: key(entries[i]))

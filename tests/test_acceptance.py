@@ -13,7 +13,6 @@ import pytest
 
 from seqalign import (
     ChainOptions,
-    GapStatistics,
     ScoringScheme,
     SelectionPolicy,
     Sequence,
@@ -104,10 +103,10 @@ def test_criterion_2_dna_example_end_to_end(capsys):
 
 def test_criterion_3_mean_first_selection_rule():
     with criterion(3, "mean-then-variance rule picks the smallest-mean candidate"):
+        # (mean, variance): (5.33, 11.556), (2.5, 2.25), (5, 4.667)
         entries = [
-            (None, GapStatistics((), 5.33, 11.556)),
-            (None, GapStatistics((), 2.5, 2.25)),
-            (None, GapStatistics((), 5.0, 4.667)),
+            (CandidateAlignment(blocks=()), statistics(runs))
+            for runs in ((2, 4, 10), (1, 4), (3, 4, 8))
         ]
         assert select(entries, SelectionPolicy(mode="mean_then_variance")) == 1
 

@@ -218,11 +218,18 @@ def test_verify_reports_counterexample_for_bad_build(capsys, monkeypatch):
         out = real(s, v, scheme)
         return type(out)(out.aligned_s, out.aligned_v, out.score + 1, out.match_mask)
 
-    monkeypatch.setattr(baselines, "needleman_wunsch", broken)
-    code, out, _ = run(capsys, "verify", "--suite", "nw", "--seed", "7", "--cases", "5")
-    assert code == 3
-    assert "FAIL nw" in out
-    assert "S=" in out and "V=" in out  # reproducible counterexample
+    # The right score on rows swapped, which do not spell the inputs: the nw
+    # suite checks the rows and their column score, not only the score.
+    def swapped_rows(s, v, scheme=None):
+        out = real(s, v, scheme)
+        return type(out)(out.aligned_v, out.aligned_s, out.score, out.match_mask)
+
+    for bad in (broken, swapped_rows):
+        monkeypatch.setattr(baselines, "needleman_wunsch", bad)
+        code, out, _ = run(capsys, "verify", "--suite", "nw", "--seed", "7", "--cases", "5")
+        assert code == 3
+        assert "FAIL nw" in out
+        assert "S=" in out and "V=" in out  # reproducible counterexample
 
     # Right blocks, one symbol comparison too many: the matcher suite checks
     # the counters against the oracle's scan, not only the blocks.
@@ -303,6 +310,12 @@ def test_bench_degenerate_ranges(capsys):
     code, out, err = run(capsys, "bench", "--m-range", "1:10:xinf", "--n-range", "1")
     assert code == 1 and err.startswith("error: ") and "finite" in err
     assert err.count("\n") == 1 and out == ""
+    # A factor barely above 1 would step about 2e10 times; a bound past the
+    # float range overflows the stepping.
+    for spec in ("1:1000000000:x1.000000001", f"1:{10 ** 400}:x1e200"):
+        code, out, err = run(capsys, "bench", "--m-range", spec, "--n-range", "1")
+        assert code == 1 and err.startswith("error: ") and "bad size range" in err
+        assert err.count("\n") == 1 and out == ""
 
 
 def test_bench_empty_alphabet_is_one_error_line(capsys):

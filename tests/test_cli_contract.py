@@ -1,6 +1,7 @@
 """Property test of the CLI contract: every `align` input ends in a report or
-in exactly one `error: ` line, and every JSON report is valid JSON that
-round-trips through `io.report_from_json`.
+in exactly one `error: ` line, every JSON report is valid JSON that
+round-trips through `io.report_from_json`, and a `proposed` report selects
+its first candidate.
 """
 
 import contextlib
@@ -60,6 +61,7 @@ def _inputs(s, v, as_files, tmp):
     v=_residues(8),
     as_files=st.booleans(),
     algo=st.sampled_from(ALGOS),
+    select=st.sampled_from(("mean", "variance", "mean-only")),
     scheme=SCHEMES,
     window=st.sampled_from(EDGES),
     beam=st.sampled_from(EDGES),
@@ -69,19 +71,24 @@ def _inputs(s, v, as_files, tmp):
     fmt=st.sampled_from(("text", "json")),
 )
 # Scores that overflow a float once summed.
-@example(s="ACGT", v="AC", as_files=False, algo="sw", scheme="1e308,-1e308,-1",
+@example(s="ACGT", v="AC", as_files=False, algo="sw", select="mean", scheme="1e308,-1e308,-1",
          window=None, beam=None, cap=None, swap=False, partial=False, fmt="json")
-@example(s="ACGT", v="AC", as_files=False, algo="nw", scheme="1,-1e308,-1e308",
+@example(s="ACGT", v="AC", as_files=False, algo="nw", select="mean", scheme="1,-1e308,-1e308",
          window=None, beam=None, cap=None, swap=False, partial=False, fmt="json")
 # A fractional gap whose border cell gap * i differs from the rounded running sum.
-@example(s="CCCAAACACACACA", v="CC", as_files=False, algo="nw", scheme="0.3,-1,-0.3",
+@example(s="CCCAAACACACACA", v="CC", as_files=False, algo="nw", select="mean", scheme="0.3,-1,-0.3",
          window=None, beam=None, cap=None, swap=False, partial=False, fmt="text")
+# Two chains with variance 14/25 whose float variances order them the other
+# way round from their means; the winner is entry 0 all the same.
+@example(s="GCAAGCGTTGCGGCAATGCTCTGAACTGCTCCCCCG", v="CAGATATCCT", as_files=False,
+         algo="proposed", select="variance", scheme="1,-1,-1", window=None, beam=None,
+         cap=None, swap=False, partial=False, fmt="json")
 def test_align_ends_in_a_report_or_one_error_line(
-    s, v, as_files, algo, scheme, window, beam, cap, swap, partial, fmt
+    s, v, as_files, algo, select, scheme, window, beam, cap, swap, partial, fmt
 ):
     n = len(v)
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["align", *_inputs(s, v, as_files, tmp), "--algo", algo,
+        argv = ["align", *_inputs(s, v, as_files, tmp), "--algo", algo, "--select", select,
                 f"--scheme={scheme}", "--format", fmt]
         for flag, value in (("--min-window", window), ("--beam", beam), ("--max-candidates", cap)):
             if value is not None:
@@ -99,5 +106,7 @@ def test_align_ends_in_a_report_or_one_error_line(
         return
     assert err == "", argv
     if fmt == "json":
-        json.loads(out, parse_constant=_reject_constant)
+        doc = json.loads(out, parse_constant=_reject_constant)
         assert io.emit_report(io.report_from_json(out), "json") == out, argv
+        if algo == "proposed":
+            assert doc["selected"] == 0, argv  # the candidates come in policy order

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from seqalign import (
     select,
     statistics,
 )
+from seqalign.gapstats import sort_key
 from conftest import KNOWN_PLACEMENTS, KNOWN_STATS, S_DNA, chain_of
 
 
@@ -56,41 +59,75 @@ def test_gap_runs_empty_chain_errors():
         gap_runs(CandidateAlignment(blocks=()), 10)
 
 
-def _entries(stat_pairs):
-    return [(None, GapStatistics((), mean, var)) for mean, var in stat_pairs]
+NO_BLOCKS = CandidateAlignment(blocks=())
+
+
+def _entries(run_lists):
+    """Entries with real statistics and empty chains, so that block ties fall to input order."""
+    return [(NO_BLOCKS, statistics(runs)) for runs in run_lists]
+
+
+def _chain_with_runs(runs):
+    """Unit blocks at fragment positions 0, 1, ... with the given reference gaps between them."""
+    starts = itertools.accumulate(runs, lambda s, r: s + 1 + r, initial=0)
+    return chain_of((v, s, 1) for v, s in enumerate(starts))
 
 
 def test_select_prefers_smaller_mean_then_variance():
-    entries = _entries([(5.33, 11.556), (2.5, 2.25), (5, 4.667)])
+    # (mean, variance): (5.33, 11.556), (2.5, 2.25), (5, 4.667)
+    entries = _entries([(2, 4, 10), (1, 4), (3, 4, 8)])
     assert select(entries, SelectionPolicy(mode="mean_then_variance")) == 1
 
 
 def test_select_variance_only_mode():
-    entries = _entries([(4.667, 5.556), (6.33, 14.889), (3, 8.5), (4, 9.5)])
+    entries = _entries(runs for runs, _, _ in KNOWN_STATS)
     assert select(entries, SelectionPolicy(mode="variance_only")) == 0
     # The stated default rule would pick the smallest mean instead.
     assert select(entries, SelectionPolicy(mode="mean_then_variance")) == 2
 
 
 def test_select_single_candidate_and_empty():
-    assert select(_entries([(9.0, 9.0)])) == 0
+    assert select(_entries([(9,)])) == 0
     with pytest.raises(EmptyInputError):
         select([])
 
 
 def test_select_breaks_mean_ties_by_variance():
-    entries = _entries([(2.0, 5.0), (2.0, 1.0), (3.0, 0.0)])
+    # (mean, variance): (2, 5), (2, 1), (3, 0)
+    entries = _entries([(1, 1, 1, 1, 1, 7), (1, 3), (3,)])
     assert select(entries, SelectionPolicy(mode="mean_then_variance")) == 1
     assert select(entries, SelectionPolicy(mode="mean_only")) == 0  # input order
-    # Means within the fixed 1e-9 tolerance of the best count as tied.
-    near = _entries([(2.0, 5.0), (2.0 + 1e-10, 1.0), (2.0 + 1e-6, 0.0)])
+    # Means tie only when equal: a mean 1/100 above the best loses on its
+    # mean, however small its variance.
+    near = _entries([(1, 1, 1, 1, 1, 7), (1, 3), (2,) * 99 + (3,)])
     assert select(near, SelectionPolicy(mode="mean_then_variance")) == 1
 
 
 def test_select_zero_gap_identity_wins_under_every_policy():
-    entries = _entries([(3.0, 1.0), (0.0, 0.0), (1.0, 4.0)])
+    # (mean, variance): (3, 1), (0, 0), (3, 4)
+    entries = _entries([(2, 4), (), (1, 5)])
     for mode in ("mean_then_variance", "variance_only", "mean_only"):
         assert select(entries, SelectionPolicy(mode=mode)) == 1
+
+
+def test_sort_key_compares_variance_exactly():
+    # Both variances are 14/25, but the first reads 0.5599999999999999 and the
+    # second 0.56, so a float key would rank the larger mean first.
+    entries = _entries([(2, 1, 3, 2, 3), (2, 1, 3, 2, 1)])
+    ranked = sorted(entries, key=sort_key(SelectionPolicy(mode="variance_only")))
+    assert [stats.mean for _, stats in ranked] == [1.8, 2.2]
+    assert select(entries, SelectionPolicy(mode="variance_only")) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="mean_then_variance compares the float variance")
+def test_mean_then_variance_exact_ties_follow_block_order():
+    # Mean 13/3 and variance 116/9 for both, read as 12.888888888888888 and
+    # 12.888888888888891; the documented order then falls to the blocks.
+    reads_low = _chain_with_runs((1, 7, 1, 3, 3, 11))
+    reads_high = _chain_with_runs((1, 4, 4, 3, 2, 12))
+    assert reads_high.blocks < reads_low.blocks
+    entries = [(chain, chain_statistics(chain, 40)) for chain in (reads_low, reads_high)]
+    assert select(entries, SelectionPolicy(mode="mean_then_variance")) == 1
 
 
 def test_policy_validation():
@@ -119,8 +156,8 @@ def test_statistics_scale_linearly_and_quadratically(runs, c):
 
 @given(st.lists(runs_strategy, min_size=1, max_size=6), st.integers(2, 7))
 def test_select_scale_invariant_for_mean_modes(run_lists, c):
-    entries = [(None, statistics(runs)) for runs in run_lists]
-    scaled = [(None, statistics([c * r for r in runs])) for runs in run_lists]
+    entries = _entries(run_lists)
+    scaled = _entries([c * r for r in runs] for runs in run_lists)
     for mode in ("mean_only", "mean_then_variance"):
         policy = SelectionPolicy(mode=mode)
         assert select(entries, policy) == select(scaled, policy)
@@ -128,7 +165,7 @@ def test_select_scale_invariant_for_mean_modes(run_lists, c):
 
 @given(st.lists(runs_strategy, min_size=1, max_size=6))
 def test_select_total_and_in_bounds(run_lists):
-    entries = [(None, statistics(runs)) for runs in run_lists]
+    entries = _entries(run_lists)
     for mode in ("mean_then_variance", "variance_only", "mean_only"):
         i = select(entries, SelectionPolicy(mode=mode))
         assert 0 <= i < len(entries)

@@ -81,7 +81,10 @@ class Sequence:
     residues: str
 
     def __post_init__(self):
-        bad = next((c for c in self.residues if c not in UPPERCASE.symbols), None)
+        r = self.residues
+        if not r or (r.isascii() and r.isalpha() and r.isupper()):
+            return
+        bad = next((c for c in r if c not in UPPERCASE.symbols), None)
         if bad is not None:
             raise ParseError(f"residue {bad!r} is not an uppercase ASCII letter")
 

@@ -33,10 +33,16 @@ from .core import (
 SCHEMA_VERSION = 1
 
 _WS = " \t\r"
+_DROP_WS = str.maketrans("", "", _WS)
 
 
 def _clean_line(raw: str, line_no: int, alphabet: Alphabet) -> str:
     """Uppercase one sequence line, dropping whitespace; error at the exact column."""
+    # Upper-casing whole ASCII strings maps each symbol to one symbol, as the
+    # scan below does; outside ASCII it may not ("ß" becomes "SS").
+    line = raw.translate(_DROP_WS).upper()
+    if raw.isascii() and alphabet.symbols.issuperset(line):
+        return line
     out = []
     for col, ch in enumerate(raw, start=1):
         if ch in _WS:

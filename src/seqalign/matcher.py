@@ -1,11 +1,18 @@
 """Shrinking-window enumeration of all substring matches between two sequences.
 
-Window sizes run from n (the full fragment) down to `min_window`. One table,
-run[i, c] = length of the common run of V[i:] and S[c:], yields every match
-and counters exactly those of a short-circuiting symbol-by-symbol scanner,
-which inspects min(run + 1, j) symbols per size-j placement. It is
-(n+1) x (m+1) of the smallest type holding n + 1. A size-j match at (i, c)
-exists exactly when run[i, c] >= j, so the index keeps one row
+Window sizes run from n (the full fragment) down to `min_window`. The run
+length run[i, c] of the common run of V[i:] and S[c:] yields every match and
+counters exactly those of a short-circuiting symbol-by-symbol scanner, which
+inspects min(run + 1, j) symbols per size-j placement. Each row follows from
+the row below it alone, run[i, c] = (V[i] == S[c]) * (run[i+1, c+1] + 1), so
+the matcher streams the rows from i = n-1 down to 0 and holds two of them, of
+the smallest unsigned type holding n + 1, plus a few int64 temporaries of
+length m. Cell (i, c) is a placement of every size j in min_window..J with
+J = min(n-i, m-c); its counts come in closed form, per cell rather than per
+window size: max(J - min_window + 1, 0) substring comparisons, and
+sum(min(run + 1, j) for j in min_window..J) symbol comparisons, an arithmetic
+series up to run plus (run + 1) for each size above it. A size-j match at
+(i, c) exists exactly when run[i, c] >= j, so the index keeps one row
 (v_start, s_start, run) per cell with run >= min_window (the right-maximal
 matches) instead of one block per size.
 """
@@ -85,22 +92,33 @@ def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None
 
     s_arr = _as_bytes(s)
     v_arr = _as_bytes(v)
-    # Runs never exceed n, so run + 1 always fits the table's dtype.
-    run = np.zeros((n + 1, m + 1), dtype=np.min_scalar_type(n + 1))
-    for i in range(n - 1, -1, -1):
-        run[i, :m] = (v_arr[i] == s_arr) * (run[i + 1, 1:] + 1)
-
-    found = run >= min_window  # both read row-major: (v_start, s_start) order
-    hits = np.column_stack((np.argwhere(found), run[found]))
-
+    # Runs never exceed n, so run + 1 always fits the rows' dtype. Column m
+    # stays 0: no run starts past the end of the reference.
+    below = np.zeros(m + 1, dtype=np.min_scalar_type(n + 1))
+    row = np.zeros_like(below)
+    to_end = m - np.arange(m)  # m - c: reference symbols from column c on
+    hit_rows = []
     substr_count = 0
     char_count = 0
-    for j in range(n, min_window - 1, -1):
-        window = run[: n - j + 1, : m - j + 1]  # rows v_offset, columns s_offset
-        substr_count += window.size
-        # Symbols a short-circuiting scan inspects: up to and including the
-        # first mismatch, or all j on a full match.
-        char_count += int(np.minimum(window + 1, j).sum())
+    for i in range(n - 1, -1, -1):
+        np.add(below[1:], 1, out=row[:m])
+        row[:m] *= v_arr[i] == s_arr
+        run = row[:m].astype(np.int64)
+        # Cell (i, c) is a placement of every size min_window..span, where
+        # span = min(n - i, m - c) is the largest window that still fits.
+        span = np.minimum(n - i, to_end)
+        substr_count += int(np.maximum(span - min_window + 1, 0).sum())
+        # A short-circuiting scan inspects min(run + 1, j) symbols per size j:
+        # j itself for j <= run, then run + 1 (the mismatch, or the end).
+        series = (min_window + run) * np.maximum(run - min_window + 1, 0) // 2
+        capped = (run + 1) * np.maximum(span - np.maximum(min_window, run + 1) + 1, 0)
+        char_count += int(series.sum() + capped.sum())
+        cols = np.flatnonzero(run >= min_window)
+        if cols.size:
+            hit_rows.append(np.column_stack((np.full(cols.size, i), cols, run[cols])))
+        below, row = row, below
+    hit_rows.reverse()  # built from the last fragment row up
+    hits = np.concatenate(hit_rows) if hit_rows else np.empty((0, 3), dtype=np.int64)
 
     counters = ComparisonCounters(
         substring_comparisons=substr_count,

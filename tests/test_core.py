@@ -28,6 +28,10 @@ def test_sequence_rejects_non_uppercase():
         Sequence("x", "acgt")
     with pytest.raises(ParseError):
         Sequence("x", "AC-T")
+    # Uppercase letters outside ASCII, and one lowercase symbol among capitals.
+    for residues, bad in (("AÉ", "É"), ("ACgT", "g"), ("AΣ", "Σ")):
+        with pytest.raises(ParseError, match=f"residue {bad!r} "):
+            Sequence("x", residues)
 
 
 def test_dna_alphabet_rejects_outsiders():

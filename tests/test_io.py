@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqalign import (
     AlignmentReport,
@@ -23,7 +24,8 @@ from seqalign import (
     render,
     report_from_json,
 )
-from seqalign.core import CandidateAlignment
+from seqalign.core import UPPERCASE, CandidateAlignment
+from seqalign.io import _clean_line
 from conftest import KNOWN_PLACEMENTS, S_DNA
 
 
@@ -225,3 +227,37 @@ def test_unknown_schema_version_rejected(dna_pair, known_chains):
 def test_unknown_format_rejected(dna_pair, known_chains):
     with pytest.raises(ValueError):
         emit_report(_dna_report(dna_pair, known_chains), "yaml")
+
+
+def _clean_line_by_symbol(raw, line_no, alphabet):
+    """The symbol-by-symbol scan that _clean_line must agree with."""
+    out = []
+    for col, ch in enumerate(raw, start=1):
+        if ch in " \t\r":
+            continue
+        up = ch.upper()
+        if up not in alphabet.symbols:
+            raise ParseError(
+                f"symbol {ch!r} not in alphabet {alphabet.name!r}", line=line_no, column=col
+            )
+        out.append(up)
+    return "".join(out)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet=st.sampled_from("acgtACGTxyzXYZ \t\r\x0b-*1ßıſ\u212a"), max_size=30),
+    st.integers(1, 9),
+    st.sampled_from([UPPERCASE, DNA]),
+)
+def test_clean_line_agrees_with_symbol_scan(raw, line_no, alphabet):
+    assert _outcome(_clean_line, raw, line_no, alphabet) == _outcome(
+        _clean_line_by_symbol, raw, line_no, alphabet
+    )

@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqalign import (
     EmptyInputError,
@@ -114,6 +115,59 @@ def test_counters_match_closed_form():
         if n >= 254:  # the row's run column across the uint8/uint16 edge
             want = [b for j in range(n, min_window - 1, -1) for b in naive_match_scan(s, v, j)]
             assert index.blocks() == want
+
+
+@st.composite
+def _scan_case(draw):
+    alphabet = draw(st.sampled_from(["A", "AB", "ACGT"]))
+    s_res = draw(st.text(alphabet=alphabet, min_size=1, max_size=24))
+    v_res = draw(st.text(alphabet=alphabet, min_size=1, max_size=len(s_res)))
+    return s_res, v_res, draw(st.integers(1, len(v_res) + 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scan_case())
+# A homopolymer: every run reaches the end of the fragment (run == span), the
+# edge where a placement's scan inspects all j symbols of every size.
+@example(("A" * 24, "A" * 9, 3))
+def test_closed_form_counters_and_blocks_match_naive_scan(case):
+    s_res, v_res, min_window = case
+    s, v = _pair(s_res, v_res)
+    index = enumerate_matches(s, v, MatchOptions(min_window=min_window))
+    assert index.min_window == min(min_window, len(v))
+    assert index.counters == naive_scan_counters(s, v, index.min_window)
+    want = [
+        b for j in range(len(v), index.min_window - 1, -1) for b in naive_match_scan(s, v, j)
+    ]
+    assert index.blocks() == want
+
+
+def test_no_match_gives_empty_int64_hits():
+    index = enumerate_matches(*_pair("CCCCCC", "AAA"))
+    assert index.hits.shape == (0, 3)
+    assert index.hits.dtype == np.int64
+    assert index.blocks() == []
+
+
+def test_matcher_memory_is_linear_in_the_reference():
+    # A full (n+1) x (m+1) run-length table here would be 12 MB of uint16
+    # alone; the streamed matcher keeps two rows and row-sized temporaries.
+    rng = random.Random(7)
+    s_res = "".join(rng.choice("ACGT") for _ in range(20000))
+    s, v = _pair(s_res, s_res[9000:9300])
+    tracemalloc.start()
+    try:
+        index = enumerate_matches(s, v, MatchOptions(min_window=8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    predicted = count_comparisons(20000, 300, 8)
+    measured = index.counters
+    assert measured.substring_comparisons == predicted.substring_comparisons
+    assert measured.claimed_comparisons == predicted.claimed_comparisons
+    assert measured.char_comparisons <= predicted.char_comparisons
+    assert [0, 9000, 300] in index.hits.tolist()
 
 
 def test_count_comparisons_known_values():

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Sequence
-from .matcher import MatchOptions, enumerate_matches
+from .matcher import measure_counters
 
 CLAIMED_SLOPE_M = 1.0
 CLAIMED_SLOPE_N = 1.0
@@ -80,18 +80,18 @@ def measure_growth(
             s = random_sequence(rng, m, symbols, f"bench-s-{m}")
             v = random_sequence(rng, n, symbols, f"bench-v-{n}")
             elapsed = 0.0
-            index = None
+            counters = None
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                index = enumerate_matches(s, v, MatchOptions())
+                counters = measure_counters(s, v)
                 elapsed += time.perf_counter() - t0
             rows.append(
                 BenchRow(
                     m=m,
                     n=n,
-                    substring_comparisons=index.counters.substring_comparisons,
-                    char_comparisons=index.counters.char_comparisons,
-                    claimed_comparisons=index.counters.claimed_comparisons,
+                    substring_comparisons=counters.substring_comparisons,
+                    char_comparisons=counters.char_comparisons,
+                    claimed_comparisons=counters.claimed_comparisons,
                     seconds=elapsed / repeats,
                 )
             )

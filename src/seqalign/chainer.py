@@ -10,18 +10,24 @@ Chains are generated directly in canonical form: an extension that is
 contiguous with its predecessor in both sequences is skipped, because the
 merged block is itself in the index and produces the same canonical chain.
 Each state is expanded once, so every chain is emitted once.
+
+The search reads the index's hit rows and works on plain coordinate tuples.
+Only the completed chains that can still be among the kept max_candidates
+(the survivors of a cut on the leading component of the policy order) are
+built as CandidateAlignments and scored with gapstats.chain_statistics.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import NamedTuple
+from operator import itemgetter
 
 from . import gapstats
 from .core import (
     CandidateAlignment,
     EmptyInputError,
+    MatchBlock,
     Sequence,
     StructuralViolationError,
     validate_chain,
@@ -69,37 +75,50 @@ class ChainResult:
         return tuple(chain for chain, _ in self.entries)
 
 
-class _State(NamedTuple):
-    blocks: tuple
-    v_end: int
-    s_end: int
-    runs: tuple
+# A search state is a plain tuple (blocks, v_end, s_end, runs): blocks holds
+# (v_start, s_start, length) triples, which order as MatchBlocks do, and runs
+# the interior gap runs so far.
+_length = itemgetter(2)
 
 
-def _beam_key(state: _State):
-    total = sum(state.runs)
-    if state.runs:
-        mean = total / len(state.runs)
-        var = sum((r - mean) ** 2 for r in state.runs) / len(state.runs)
+def _beam_key(state):
+    blocks, _, _, runs = state
+    total = sum(runs)
+    if runs:
+        mean = total / len(runs)
+        var = sum((r - mean) ** 2 for r in runs) / len(runs)
     else:
         var = 0.0
-    return (total, var, state.blocks)
+    return (total, var, blocks)
 
 
 def _search(index: MatchIndex, n: int, m: int, opts: ChainOptions, full_cover: bool) -> list:
-    """Frontier search over fragment positions; returns completed chains.
+    """Frontier search over fragment positions; returns completed states.
 
     In full-coverage mode blocks must tile the fragment exactly; in partial
     mode the next block may skip fragment symbols provided the reference gap
     has room to hold them (so every emitted chain can be rendered).
     """
-    # Blocks by fragment start. Their order within a group is immaterial:
-    # both cuts use total orders that end in the blocks, which compare as
-    # their (v_start, s_start, length) triples.
-    by_v: dict = {}
-    for b in index.blocks():
-        by_v.setdefault(b.v_start, []).append(b)
-    frontier: dict = {0: [_State((), 0, 0, ())]}
+    # Hit rows by fragment start; a start's blocks (one per size
+    # min_window..run of each row) are built when the search first reaches
+    # it, then shared by every state that uses them. Their order within a
+    # start is immaterial: both cuts use total orders that end in the blocks.
+    rows: dict = {}
+    for v_start, s_start, run in index.hits.tolist():
+        rows.setdefault(v_start, []).append((s_start, run))
+    expanded: dict = {}
+
+    def blocks_at(v_start: int) -> list:
+        got = expanded.get(v_start)
+        if got is None:
+            got = expanded[v_start] = [
+                (v_start, s_start, j)
+                for s_start, run in rows.get(v_start, ())
+                for j in range(index.min_window, run + 1)
+            ]
+        return got
+
+    frontier: dict = {0: [((), 0, 0, ())]}
     complete: list = []
 
     for v_pos in range(n):
@@ -108,31 +127,33 @@ def _search(index: MatchIndex, n: int, m: int, opts: ChainOptions, full_cover: b
             continue
         if len(group) > opts.beam_width:
             group = heapq.nsmallest(opts.beam_width, group, key=_beam_key)
-        for state in group:
+        for blocks, v_end, s_end, runs in group:
             starts = [v_pos] if full_cover else range(v_pos, n)
             for v_start in starts:
-                for b in by_v.get(v_start, ()):
-                    runs = state.runs
-                    if state.blocks:
-                        s_gap = b.s_start - state.s_end
+                for b in blocks_at(v_start):
+                    _, b_s, length = b
+                    new_runs = runs
+                    if blocks:
+                        s_gap = b_s - s_end
                         # Strict gap when contiguous in V keeps the chain
                         # canonical; a skipped V span needs that much room.
-                        if s_gap < max(b.v_start - state.v_end, 1):
+                        if s_gap < max(v_start - v_end, 1):
                             continue
-                        runs += (s_gap,)
-                    elif not full_cover and b.s_start < b.v_start:
+                        new_runs += (s_gap,)
+                    elif not full_cover and b_s < v_start:
                         continue  # no room to place the leading span
-                    new = _State(state.blocks + (b,), b.v_end, b.s_end, runs)
+                    new_v_end, new_s_end = v_start + length, b_s + length
+                    new = (blocks + (b,), new_v_end, new_s_end, new_runs)
                     if full_cover:
-                        if new.v_end == n:
+                        if new_v_end == n:
                             complete.append(new)
                         else:
-                            frontier.setdefault(new.v_end, []).append(new)
+                            frontier.setdefault(new_v_end, []).append(new)
                     else:
-                        if m - new.s_end >= n - new.v_end:
+                        if m - new_s_end >= n - new_v_end:
                             complete.append(new)
-                        if new.v_end < n:
-                            frontier.setdefault(new.v_end, []).append(new)
+                        if new_v_end < n:
+                            frontier.setdefault(new_v_end, []).append(new)
     return complete
 
 
@@ -148,6 +169,11 @@ def enumerate_candidates(
     With require_full_coverage set and no full-coverage chain available, the
     result carries the best partial-coverage chains and full_coverage=False
     so callers can tell the difference from an empty outcome.
+
+    Every completion is ranked on the leading component of the policy order
+    (gapstats.leading_key), read off the runs its search state carries. Only
+    the completions at or below the max_candidates-th smallest leading value
+    become chains and are scored; the others cannot be among the kept ones.
     """
     opts = opts or ChainOptions()
     policy = policy or SelectionPolicy()
@@ -160,17 +186,24 @@ def enumerate_candidates(
     if not states:
         states = _search(index, n, m, opts, full_cover=False)
         if states:
-            best = max(sum(b.length for b in st.blocks) for st in states)
-            states = [st for st in states if sum(b.length for b in st.blocks) == best]
+            covers = [sum(map(_length, blocks)) for blocks, _, _, _ in states]
+            best = max(covers)
+            states = [st for st, cover in zip(states, covers) if cover == best]
             full_coverage = best == n
 
-    entries = []
-    for st in states:
-        chain = CandidateAlignment(blocks=st.blocks)
-        entries.append((chain, gapstats.chain_statistics(chain, m)))
+    k = opts.max_candidates
+    truncated = len(states) > k
+    if truncated:
+        lead = gapstats.leading_key(policy)
+        leads = [lead(runs) for _, _, _, runs in states]
+        bound = heapq.nsmallest(k, leads)[-1]
+        states = [st for st, x in zip(states, leads) if x <= bound]
 
-    truncated = len(entries) > opts.max_candidates
-    entries = heapq.nsmallest(opts.max_candidates, entries, key=gapstats.sort_key(policy))
+    entries = []
+    for blocks, _, _, _ in states:
+        chain = CandidateAlignment(blocks=tuple(MatchBlock(*b) for b in blocks))
+        entries.append((chain, gapstats.chain_statistics(chain, m)))
+    entries = heapq.nsmallest(k, entries, key=gapstats.sort_key(policy))
     return ChainResult(entries=tuple(entries), truncated=truncated, full_coverage=full_coverage)
 
 

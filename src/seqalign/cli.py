@@ -8,6 +8,7 @@ counterexample. Errors go to standard error prefixed with "error: ".
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import random
@@ -73,8 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="scoring for the nw/sw baselines")
     p_align.add_argument(
         "--alphabet", choices=("upper", "dna"),
-        default=os.environ.get("SEQALIGN_ALPHABET", "upper"),
-        help="alphabet preset (env SEQALIGN_ALPHABET overrides the default)",
+        help="alphabet preset (default: env SEQALIGN_ALPHABET, else upper)",
     )
     p_align.set_defaults(func=cmd_align)
 
@@ -116,7 +116,8 @@ def _parse_scheme(text: str) -> ScoringScheme:
 
 
 def _load_pair(args) -> tuple:
-    alphabet = get_alphabet(args.alphabet)
+    # Read per call, not when the parser is built: main reuses one parser.
+    alphabet = get_alphabet(args.alphabet or os.environ.get("SEQALIGN_ALPHABET", "upper"))
     if args.s_literal is not None or args.v_literal is not None:
         if args.files or args.s_literal is None or args.v_literal is None:
             raise UsageError("give either two files or both --s and --v")
@@ -350,10 +351,15 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"{ERROR_PREFIX}{exc}", file=sys.stderr)

@@ -66,24 +66,46 @@ def chain_statistics(chain: CandidateAlignment, m: int) -> GapStatistics:
     return statistics(gap_runs(chain, m))
 
 
+def leading_key(policy: SelectionPolicy):
+    """The first component of sort_key(policy), as a function of the gap runs.
+
+    The mean modes lead on the mean, sum(runs) / k, which equals
+    statistics(runs).mean bit for bit on integer runs; variance_only leads
+    on the exact variance. A chain whose leading value lies above the k-th
+    smallest one among its rivals is outside their first k under sort_key,
+    so the chainer scores only the chains at or below it.
+    """
+    if policy.mode == "variance_only":
+        return _exact_variance
+    return _mean
+
+
+def _mean(runs) -> float:
+    return sum(runs) / len(runs) if runs else 0.0
+
+
+def _exact_variance(runs) -> Fraction:
+    k = len(runs)
+    return Fraction(k * sum(r * r for r in runs) - sum(runs) ** 2, k * k or 1)
+
+
 def sort_key(policy: SelectionPolicy):
     """Ordering key for (chain, stats) entries: the one policy order.
 
-    Float means order exactly, as distinct means t/k with k <= n lie 1/n^2
-    apart. variance_only compares the variance exactly, mean_then_variance
-    as a float.
+    It leads on leading_key(policy). Float means order exactly, as distinct
+    means t/k with k <= n lie 1/n^2 apart. variance_only compares the
+    variance exactly, mean_then_variance as a float.
     """
     mode = policy.mode
+    lead = leading_key(policy)
 
     def key(entry):
         chain, stats = entry
         if mode == "variance_only":
-            k, runs = len(stats.runs), stats.runs
-            variance = Fraction(k * sum(r * r for r in runs) - sum(runs) ** 2, k * k or 1)
-            return (variance, stats.mean, chain.blocks)
+            return (lead(stats.runs), stats.mean, chain.blocks)
         if mode == "mean_only":
-            return (stats.mean, chain.blocks)
-        return (stats.mean, stats.variance, chain.blocks)
+            return (lead(stats.runs), chain.blocks)
+        return (lead(stats.runs), stats.variance, chain.blocks)
 
     return key
 

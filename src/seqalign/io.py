@@ -10,7 +10,9 @@ to three decimals.
 from __future__ import annotations
 
 import json
+import math
 import warnings
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import chainer
@@ -197,22 +199,51 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _candidate_payload(report: AlignmentReport) -> list:
+def _json_array(items, pad: int) -> str:
+    """A JSON array of encoded items, laid out as json.dumps(indent=2) lays
+    out an array whose opening bracket sits at indent pad."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (pad + 2)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * pad + "]"
+
+
+def _json_float(x) -> str:
+    """A float as json.dumps writes it; NaN and the infinities raise the
+    ValueError that allow_nan=False raises."""
+    if type(x) is not float:
+        return json.dumps(x, allow_nan=False)
+    if x != x or x in (math.inf, -math.inf):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _candidates_json(report: AlignmentReport) -> str:
+    """The candidates array, as it sits at indent 2 in the report document.
+
+    Byte for byte what json.dumps(..., indent=2, allow_nan=False) writes,
+    without that call's pure-Python encoder.
+    """
     out = []
     for chain, stats in report.entries:
         rendered = chainer.render(chain, report.s, report.v)
+        blocks = [
+            f"[\n          {b.v_start},\n          {b.s_start},\n          {b.length}\n        ]"
+            for b in chain.blocks
+        ]
+        lines = (rendered.s_line, rendered.marker_line, rendered.v_line)
         out.append(
-            {
-                "blocks": [[b.v_start, b.s_start, b.length] for b in chain.blocks],
-                "coverage": chain.coverage,
-                "runs": list(stats.runs),
-                "mean": stats.mean,
-                "variance": stats.variance,
-                "rendered": [rendered.s_line, rendered.marker_line, rendered.v_line],
-                "substitutions": list(rendered.substitutions),
-            }
+            "{\n"
+            f'      "blocks": {_json_array(blocks, 6)},\n'
+            f'      "coverage": {chain.coverage},\n'
+            f'      "runs": {_json_array([str(r) for r in stats.runs], 6)},\n'
+            f'      "mean": {_json_float(stats.mean)},\n'
+            f'      "variance": {_json_float(stats.variance)},\n'
+            f'      "rendered": {_json_array([encode_basestring_ascii(x) for x in lines], 6)},\n'
+            f'      "substitutions": {_json_array([str(c) for c in rendered.substitutions], 6)}\n'
+            "    }"
         )
-    return out
+    return _json_array(out, 2)
 
 
 def emit_report(report: AlignmentReport, format: str = "text") -> str:
@@ -224,7 +255,8 @@ def emit_report(report: AlignmentReport, format: str = "text") -> str:
 
 
 def _emit_json(report: AlignmentReport) -> str:
-    doc = {
+    candidates = _candidates_json(report)
+    head = {
         "schema_version": SCHEMA_VERSION,
         "algorithm": report.algorithm,
         "s": {"id": report.s.id, "residues": report.s.residues},
@@ -240,17 +272,21 @@ def _emit_json(report: AlignmentReport) -> str:
         "full_coverage": report.full_coverage,
         "truncated": report.truncated,
         "selected": report.selected,
-        "candidates": _candidate_payload(report),
-        "scored": None
-        if report.scored is None
-        else {
+    }
+    scored = None
+    if report.scored is not None:
+        scored = {
             "aligned_s": report.scored.aligned_s,
             "aligned_v": report.scored.aligned_v,
             "score": report.scored.score,
             "match_mask": list(report.scored.match_mask),
-        },
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        }
+    # The head ends in "\n}"; the last two members are spliced in before it.
+    # Newlines occur in dumped JSON only between tokens, so indenting the
+    # nested value is a replace.
+    head_text = json.dumps(head, indent=2, allow_nan=False)[:-2]
+    scored_text = json.dumps(scored, indent=2, allow_nan=False).replace("\n", "\n  ")
+    return f'{head_text},\n  "candidates": {candidates},\n  "scored": {scored_text}\n}}\n'
 
 
 def _emit_text(report: AlignmentReport) -> str:

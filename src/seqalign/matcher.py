@@ -71,13 +71,8 @@ def _as_bytes(seq: Sequence) -> np.ndarray:
     return np.frombuffer(seq.residues.encode("ascii"), dtype=np.uint8)
 
 
-def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None) -> MatchIndex:
-    """Record every matching (v_offset, s_offset) pair at each window size.
-
-    min_window is clamped to n so the full-size pass always runs. Raises
-    EmptyInputError for empty input and OrderViolationError when the
-    fragment is longer than the reference (swap the operands and retry).
-    """
+def _min_window(s: Sequence, v: Sequence, opts: MatchOptions | None) -> int:
+    """Check the operands; min_window clamped to n so the full-size pass always runs."""
     opts = opts or MatchOptions()
     m, n = len(s), len(v)
     if n == 0:
@@ -88,8 +83,17 @@ def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None
         raise OrderViolationError(
             f"fragment length {n} exceeds reference length {m}; swap the operands"
         )
-    min_window = min(opts.min_window, n)
+    return min(opts.min_window, n)
 
+
+def _rows(s: Sequence, v: Sequence, min_window: int):
+    """Stream the run-length table from the last fragment row up.
+
+    Yields (i, run, substring comparisons, symbol comparisons) per row i:
+    run is row i as a fresh int64 array, and the counts are those of the
+    row's cells.
+    """
+    m, n = len(s), len(v)
     s_arr = _as_bytes(s)
     v_arr = _as_bytes(v)
     # Runs never exceed n, so run + 1 always fits the rows' dtype. Column m
@@ -97,9 +101,6 @@ def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None
     below = np.zeros(m + 1, dtype=np.min_scalar_type(n + 1))
     row = np.zeros_like(below)
     to_end = m - np.arange(m)  # m - c: reference symbols from column c on
-    hit_rows = []
-    substr_count = 0
-    char_count = 0
     for i in range(n - 1, -1, -1):
         np.add(below[1:], 1, out=row[:m])
         row[:m] *= v_arr[i] == s_arr
@@ -107,19 +108,36 @@ def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None
         # Cell (i, c) is a placement of every size min_window..span, where
         # span = min(n - i, m - c) is the largest window that still fits.
         span = np.minimum(n - i, to_end)
-        substr_count += int(np.maximum(span - min_window + 1, 0).sum())
+        substr = int(np.maximum(span - min_window + 1, 0).sum())
         # A short-circuiting scan inspects min(run + 1, j) symbols per size j:
         # j itself for j <= run, then run + 1 (the mismatch, or the end).
         series = (min_window + run) * np.maximum(run - min_window + 1, 0) // 2
         capped = (run + 1) * np.maximum(span - np.maximum(min_window, run + 1) + 1, 0)
-        char_count += int(series.sum() + capped.sum())
+        yield i, run, substr, int(series.sum() + capped.sum())
+        below, row = row, below
+
+
+def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None) -> MatchIndex:
+    """Record every matching (v_offset, s_offset) pair at each window size.
+
+    min_window is clamped to n so the full-size pass always runs. Raises
+    EmptyInputError for empty input and OrderViolationError when the
+    fragment is longer than the reference (swap the operands and retry).
+    """
+    min_window = _min_window(s, v, opts)
+    hit_rows = []
+    substr_count = 0
+    char_count = 0
+    for i, run, substr, chars in _rows(s, v, min_window):
+        substr_count += substr
+        char_count += chars
         cols = np.flatnonzero(run >= min_window)
         if cols.size:
             hit_rows.append(np.column_stack((np.full(cols.size, i), cols, run[cols])))
-        below, row = row, below
     hit_rows.reverse()  # built from the last fragment row up
     hits = np.concatenate(hit_rows) if hit_rows else np.empty((0, 3), dtype=np.int64)
 
+    m, n = len(s), len(v)
     counters = ComparisonCounters(
         substring_comparisons=substr_count,
         char_comparisons=char_count,
@@ -131,6 +149,21 @@ def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None
         min_window=min_window,
         hits=hits,
         counters=counters,
+    )
+
+
+def measure_counters(s: Sequence, v: Sequence, opts: MatchOptions | None = None) -> ComparisonCounters:
+    """enumerate_matches(s, v, opts).counters, without keeping the hit rows."""
+    min_window = _min_window(s, v, opts)
+    substr_count = 0
+    char_count = 0
+    for _, _, substr, chars in _rows(s, v, min_window):
+        substr_count += substr
+        char_count += chars
+    return ComparisonCounters(
+        substring_comparisons=substr_count,
+        char_comparisons=char_count,
+        claimed_comparisons=claimed_formula_value(len(s), len(v)),
     )
 
 

@@ -1,7 +1,10 @@
+import random
+import tracemalloc
+
 import pytest
 
-from seqalign import count_comparisons
-from seqalign.bench import fit_loglog_slope, format_table, measure_growth
+from seqalign import count_comparisons, enumerate_matches
+from seqalign.bench import fit_loglog_slope, format_table, measure_growth, random_sequence
 
 
 def test_rows_match_closed_form_counters():
@@ -42,3 +45,26 @@ def test_measure_growth_validation():
         measure_growth([0], [1])
     with pytest.raises(ValueError):
         measure_growth([8], [4], symbols="")
+
+
+def test_counters_only_table_equals_the_index_counters():
+    report = measure_growth([16, 24, 40], [4, 6], symbols="AC", seed=3)
+    rng = random.Random(3)
+    for row in report.rows:  # the grid draws each pair in row order
+        s = random_sequence(rng, row.m, "AC", "s")
+        v = random_sequence(rng, row.n, "AC", "v")
+        counters = enumerate_matches(s, v).counters
+        assert (row.substring_comparisons, row.char_comparisons, row.claimed_comparisons) == (
+            counters.substring_comparisons, counters.char_comparisons, counters.claimed_comparisons
+        )
+
+
+def test_growth_keeps_no_hit_rows():
+    # At min_window 1 an 8192 x 256 index holds about 0.5 M rows (tens of MB).
+    tracemalloc.start()
+    try:
+        measure_growth([8192], [256], seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -1,4 +1,6 @@
+import heapq
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +20,8 @@ from seqalign import (
     select,
     swap_for_insertions,
 )
+from seqalign import gapstats
+from seqalign.gapstats import MODES
 from seqalign.oracle import exhaustive_chains
 from conftest import KNOWN_PLACEMENTS, S_DNA, V_DNA, chain_of
 
@@ -243,3 +247,60 @@ def test_render_rejects_bad_input():
     # No room to place the unmatched leading symbol.
     with pytest.raises(StructuralViolationError):
         render(chain_of(((1, 0, 1),)), Sequence("s", "CGT"), Sequence("v", "AC"))
+
+
+def _counting_chain_statistics(monkeypatch):
+    calls = []
+    real = gapstats.chain_statistics
+
+    def counted(chain, m):
+        calls.append(chain)
+        return real(chain, m)
+
+    monkeypatch.setattr(gapstats, "chain_statistics", counted)
+    return calls
+
+
+def test_only_survivors_are_scored(monkeypatch):
+    # 123,284 chains complete; under the mean they tie in large classes, and
+    # only those at or below the 1,024th smallest mean are scored.
+    s, v = Sequence("s", "A" * 100), Sequence("v", "A" * 10)
+    calls = _counting_chain_statistics(monkeypatch)
+    result = enumerate_candidates(enumerate_matches(s, v), s, v)
+    assert len(calls) < 5000
+    assert len(result.entries) == 1024 and result.truncated
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_survivor_cut_equals_scoring_every_completion(monkeypatch, mode):
+    # Reference: the same search uncapped, which cuts nothing, scores every
+    # completion; then nsmallest keeps the best max_candidates of them.
+    policy = SelectionPolicy(mode=mode)
+    rng = random.Random(31)
+
+    def cases():
+        yield Sequence("s", "A" * 30), Sequence("v", "A" * 6), ChainOptions()
+        for _ in range(200):
+            s, v = _random_pair(rng, 20, 6, "ACGT")
+            full_cover = rng.random() < 0.8
+            yield s, v, ChainOptions(max_candidates=rng.randint(1, 8), require_full_coverage=full_cover)
+
+    truncating = 0
+    for s, v, opts in cases():
+        index = enumerate_matches(s, v)
+        calls = _counting_chain_statistics(monkeypatch)
+        got = enumerate_candidates(index, s, v, opts, policy)
+        scored = len(calls)
+        calls.clear()
+        every = enumerate_candidates(index, s, v, replace(opts, max_candidates=10**9), policy)
+        assert len(calls) == len(every.entries)  # every completion scored
+        k = opts.max_candidates
+        want = heapq.nsmallest(k, every.entries, key=gapstats.sort_key(policy))
+        assert got.entries == tuple(want), (mode, s.residues, v.residues, opts)
+        assert got.truncated == (len(every.entries) > k)
+        assert got.full_coverage == every.full_coverage
+        assert scored <= len(calls)
+        truncating += got.truncated
+        if truncating == 40:
+            break
+    assert truncating == 40

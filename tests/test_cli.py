@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from seqalign import baselines, chainer, matcher
+from seqalign import baselines, chainer, cli, matcher
 from seqalign.cli import main
 from conftest import KNOWN_PLACEMENTS, S_DNA, V_DNA
 
@@ -141,6 +141,18 @@ def test_align_alphabet_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("SEQALIGN_ALPHABET", "dna")
     code, _, err = run(capsys, "align", "--s", "ACGU", "--v", "AC")
     assert code == 1 and "alphabet" in err
+
+
+def test_parser_is_built_once_and_reads_the_alphabet_per_call(capsys, monkeypatch):
+    argv = ("align", "--s", "ACGU", "--v", "AC")
+    monkeypatch.setenv("SEQALIGN_ALPHABET", "dna")
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "alphabet" in err
+    parser = cli._parser()
+    monkeypatch.setenv("SEQALIGN_ALPHABET", "upper")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "coverage: full" in out
+    assert cli._parser() is parser
 
 
 def test_align_usage_errors(capsys):

@@ -1,30 +1,39 @@
 import json
+import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqalign import (
     AlignmentReport,
+    ChainOptions,
     ComparisonCounters,
     DNA,
     EmptyInputError,
+    GapStatistics,
     MatchBlock,
     ParseError,
     ScoringScheme,
+    SelectionPolicy,
     Sequence,
     canonicalize,
     chain_statistics,
     emit_fasta,
     emit_report,
+    enumerate_candidates,
+    enumerate_matches,
     needleman_wunsch,
     parse_fasta,
     parse_plain,
     parse_rendered,
     render,
     report_from_json,
+    smith_waterman,
 )
 from seqalign.core import UPPERCASE, CandidateAlignment
+from seqalign.gapstats import MODES
 from seqalign.io import _clean_line
 from conftest import KNOWN_PLACEMENTS, S_DNA
 
@@ -261,3 +270,124 @@ def test_clean_line_agrees_with_symbol_scan(raw, line_no, alphabet):
     assert _outcome(_clean_line, raw, line_no, alphabet) == _outcome(
         _clean_line_by_symbol, raw, line_no, alphabet
     )
+
+
+def _reference_json(report):
+    """The report as json.dumps writes it: the oracle of the schema writer."""
+    candidates = []
+    for chain, stats in report.entries:
+        rendered = render(chain, report.s, report.v)
+        candidates.append(
+            {
+                "blocks": [[b.v_start, b.s_start, b.length] for b in chain.blocks],
+                "coverage": chain.coverage,
+                "runs": list(stats.runs),
+                "mean": stats.mean,
+                "variance": stats.variance,
+                "rendered": [rendered.s_line, rendered.marker_line, rendered.v_line],
+                "substitutions": list(rendered.substitutions),
+            }
+        )
+    sc = report.scored
+    doc = {
+        "schema_version": 1,
+        "algorithm": report.algorithm,
+        "s": {"id": report.s.id, "residues": report.s.residues},
+        "v": {"id": report.v.id, "residues": report.v.residues},
+        "swapped": report.swapped,
+        "policy": report.policy,
+        "options": report.options,
+        "counters": {
+            "substring_comparisons": report.counters.substring_comparisons,
+            "char_comparisons": report.counters.char_comparisons,
+            "claimed_comparisons": report.counters.claimed_comparisons,
+        },
+        "full_coverage": report.full_coverage,
+        "truncated": report.truncated,
+        "selected": report.selected,
+        "candidates": candidates,
+        "scored": None if sc is None else {
+            "aligned_s": sc.aligned_s,
+            "aligned_v": sc.aligned_v,
+            "score": sc.score,
+            "match_mask": list(sc.match_mask),
+        },
+    }
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+ids = st.one_of(st.text(), st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té \U0001f600')))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+json_values = st.one_of(st.none(), st.booleans(), st.integers(), finite, st.text(max_size=4))
+
+
+@st.composite
+def reports(draw):
+    m = draw(st.integers(1, 10))
+    s = Sequence(draw(ids), draw(st.text(st.sampled_from("AB"), min_size=m, max_size=m)))
+    n = draw(st.integers(1, min(m, 5)))
+    v = Sequence(draw(ids), draw(st.text(st.sampled_from("AB"), min_size=n, max_size=n)))
+    common = dict(
+        s=s,
+        v=v,
+        counters=ComparisonCounters(*draw(st.lists(st.integers(0, 10**12), min_size=3, max_size=3))),
+        swapped=draw(st.booleans()),
+        options=draw(st.dictionaries(st.text(max_size=4), json_values, max_size=3)),
+    )
+    algo = draw(st.sampled_from(["proposed", "nw", "sw"]))
+    if algo != "proposed":
+        scheme = ScoringScheme(draw(st.floats(0.5, 3)), draw(st.floats(-3, 0)), draw(st.floats(-3, 0)))
+        align = needleman_wunsch if algo == "nw" else smith_waterman
+        return AlignmentReport(algorithm=algo, scored=align(s, v, scheme), **common)
+    policy = SelectionPolicy(mode=draw(st.sampled_from(MODES)))
+    opts = ChainOptions(max_candidates=draw(st.integers(1, 6)), require_full_coverage=False)
+    result = enumerate_candidates(enumerate_matches(s, v), s, v, opts, policy)
+    entries = result.entries
+    if draw(st.booleans()):  # statistics as any finite floats, e.g. 1.5555555555555554
+        entries = tuple(
+            (chain, GapStatistics(stats.runs, draw(finite), draw(finite)))
+            for chain, stats in entries
+        )
+    return AlignmentReport(
+        algorithm="proposed",
+        entries=entries,
+        policy=policy.mode,
+        full_coverage=result.full_coverage,
+        truncated=result.truncated,
+        **common,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports())
+def test_json_writer_matches_json_dumps(report):
+    text = emit_report(report, "json")
+    assert text == _reference_json(report)
+    assert emit_report(report_from_json(text), "json") == text
+
+
+def test_json_writer_on_fixed_cases(dna_pair, known_chains):
+    report = _dna_report(dna_pair, known_chains)
+    chain, stats = report.entries[0]
+    odd = GapStatistics(stats.runs, 1.5555555555555554, -0.0)
+    for case in (
+        report,
+        replace(report, entries=()),
+        replace(report, entries=((chain, odd),)),
+        replace(report, s=Sequence('q"\\\x01\u00e9', S_DNA)),
+    ):
+        assert emit_report(case, "json") == _reference_json(case)
+    assert '"mean": 1.5555555555555554,' in emit_report(replace(report, entries=((chain, odd),)), "json")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["mean", "variance"])
+def test_json_writer_rejects_non_finite_statistics(dna_pair, known_chains, bad, field):
+    report = _dna_report(dna_pair, known_chains)
+    chain, stats = report.entries[0]
+    report = replace(report, entries=((chain, replace(stats, **{field: bad})),))
+    with pytest.raises(ValueError) as want:
+        _reference_json(report)
+    with pytest.raises(ValueError) as got:
+        emit_report(report, "json")
+    assert str(got.value) == str(want.value)

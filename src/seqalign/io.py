@@ -227,10 +227,7 @@ def _candidates_json(report: AlignmentReport) -> str:
     out = []
     for chain, stats in report.entries:
         rendered = chainer.render(chain, report.s, report.v)
-        blocks = [
-            f"[\n          {b.v_start},\n          {b.s_start},\n          {b.length}\n        ]"
-            for b in chain.blocks
-        ]
+        blocks = [_json_array([str(b.v_start), str(b.s_start), str(b.length)], 8) for b in chain.blocks]
         lines = (rendered.s_line, rendered.marker_line, rendered.v_line)
         out.append(
             "{\n"

@@ -152,9 +152,9 @@ def enumerate_matches(s: Sequence, v: Sequence, opts: MatchOptions | None = None
     )
 
 
-def measure_counters(s: Sequence, v: Sequence, opts: MatchOptions | None = None) -> ComparisonCounters:
-    """enumerate_matches(s, v, opts).counters, without keeping the hit rows."""
-    min_window = _min_window(s, v, opts)
+def measure_counters(s: Sequence, v: Sequence) -> ComparisonCounters:
+    """enumerate_matches(s, v).counters, without keeping the hit rows."""
+    min_window = _min_window(s, v, None)
     substr_count = 0
     char_count = 0
     for _, _, substr, chars in _rows(s, v, min_window):

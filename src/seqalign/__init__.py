@@ -41,7 +41,13 @@ from .core import (
 )
 from .gapstats import SelectionPolicy, chain_statistics, gap_runs, select, statistics
 from .io import emit_fasta, emit_report, parse_fasta, parse_plain, parse_rendered, report_from_json
-from .matcher import MatchIndex, MatchOptions, count_comparisons, enumerate_matches
+from .matcher import (
+    MatchIndex,
+    MatchOptions,
+    count_comparisons,
+    enumerate_matches,
+    expected_comparisons,
+)
 
 __version__ = "0.1.0"
 
@@ -77,6 +83,7 @@ __all__ = [
     "emit_report",
     "enumerate_candidates",
     "enumerate_matches",
+    "expected_comparisons",
     "gap_runs",
     "needleman_wunsch",
     "parse_fasta",

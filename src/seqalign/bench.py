@@ -5,20 +5,24 @@ the comparison counters and wall time, and fits log-log slopes of the
 measured substring comparisons against each axis. The advertised analysis
 puts the count at O(m*n) (slope 1 in each variable); the measured counts
 follow sum((n-j+1)*(m-j+1)) instead, which is linear in m but quadratic in
-n once m is much larger, and the report prints both for contrast.
+n once m is much larger, and the report prints both for contrast. Each row
+also prints the expected symbol count for the drawn symbols
+(matcher.expected_comparisons) and the ratio of the measured count to it.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .core import Sequence
-from .matcher import measure_counters
+from .matcher import expected_comparisons, measure_counters
 
 CLAIMED_SLOPE_M = 1.0
 CLAIMED_SLOPE_N = 1.0
@@ -32,6 +36,7 @@ class BenchRow:
     char_comparisons: int
     claimed_comparisons: int
     seconds: float
+    expected_char_comparisons: Fraction  # the mean over all inputs of this size
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,12 @@ class GrowthReport:
 
 def random_sequence(rng: random.Random, length: int, symbols: str, id: str) -> Sequence:
     return Sequence(id=id, residues="".join(rng.choice(symbols) for _ in range(length)))
+
+
+def match_probability(symbols: str) -> Fraction:
+    """The chance that two symbols drawn by random_sequence from symbols match."""
+    counts = Counter(symbols).values()
+    return Fraction(sum(k * k for k in counts), len(symbols) ** 2)
 
 
 def fit_loglog_slope(xs, ys) -> float:
@@ -73,6 +84,7 @@ def measure_growth(
     if not symbols:
         raise ValueError("the alphabet must hold at least one symbol")
 
+    q = match_probability(symbols)
     rng = random.Random(seed)
     rows = []
     for m in m_values:
@@ -93,6 +105,7 @@ def measure_growth(
                     char_comparisons=counters.char_comparisons,
                     claimed_comparisons=counters.claimed_comparisons,
                     seconds=elapsed / repeats,
+                    expected_char_comparisons=expected_comparisons(m, n, q).char_comparisons,
                 )
             )
 
@@ -110,11 +123,16 @@ def measure_growth(
 
 
 def format_table(report: GrowthReport) -> str:
-    header = f"{'m':>6} {'n':>5} {'substring_cmp':>14} {'char_cmp':>14} {'claimed_cmp':>12} {'seconds':>9}"
+    header = (
+        f"{'m':>6} {'n':>5} {'substring_cmp':>14} {'char_cmp':>14} {'expected_char':>16} "
+        f"{'ratio':>7} {'claimed_cmp':>12} {'seconds':>9}"
+    )
     lines = [header]
     for r in report.rows:
+        expected = r.expected_char_comparisons
         lines.append(
             f"{r.m:>6} {r.n:>5} {r.substring_comparisons:>14} {r.char_comparisons:>14} "
+            f"{float(expected):>16.1f} {float(r.char_comparisons / expected):>7.4f} "
             f"{r.claimed_comparisons:>12} {r.seconds:>9.4f}"
         )
     if report.slope_vs_m is not None:

@@ -202,17 +202,23 @@ def _verify_matcher(rng, cases, max_m, max_n):
         else:
             s = bench.random_sequence(rng, m, symbols, "s")
             v = bench.random_sequence(rng, n, symbols, "v")
-        index = matcher.enumerate_matches(s, v)
+        # Half the cases draw min_window in 1..n+1; the index clamps it to n.
+        min_window = rng.randint(1, n + 1) if case % 4 >= 2 else 1
+        index = matcher.enumerate_matches(s, v, matcher.MatchOptions(min_window=min_window))
+        where = f"case {case}: S={s.residues} V={v.residues} min_window={min_window}"
         got = index.blocks()
-        want = [b for j in range(n, 0, -1) for b in oracle.naive_match_scan(s, v, j)]
+        want = [
+            b for j in range(n, index.min_window - 1, -1) for b in oracle.naive_match_scan(s, v, j)
+        ]
         if got != want:
-            return f"case {case}: S={s.residues} V={v.residues}: blocks {got} != oracle {want}"
+            return f"{where}: blocks {got} != oracle {want}"
         want_counters = oracle.naive_scan_counters(s, v, index.min_window)
         if index.counters != want_counters:
-            return (
-                f"case {case}: S={s.residues} V={v.residues}: "
-                f"counters {index.counters} != oracle {want_counters}"
-            )
+            return f"{where}: counters {index.counters} != oracle {want_counters}"
+        if index.min_window == 1:
+            measured = matcher.measure_counters(s, v)
+            if measured != index.counters:
+                return f"{where}: measure_counters {measured} != index {index.counters}"
     return None
 
 

@@ -1,10 +1,17 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from seqalign import count_comparisons, enumerate_matches
-from seqalign.bench import fit_loglog_slope, format_table, measure_growth, random_sequence
+from seqalign import count_comparisons, enumerate_matches, expected_comparisons
+from seqalign.bench import (
+    fit_loglog_slope,
+    format_table,
+    match_probability,
+    measure_growth,
+    random_sequence,
+)
 
 
 def test_rows_match_closed_form_counters():
@@ -68,3 +75,18 @@ def test_growth_keeps_no_hit_rows():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_rows_carry_the_expected_symbol_count():
+    assert match_probability("ACGT") == Fraction(1, 4)
+    assert match_probability("AAC") == Fraction(5, 9)
+    report = measure_growth([40, 80], [6], symbols="AAC", seed=4)
+    for row in report.rows:
+        want = expected_comparisons(row.m, row.n, Fraction(5, 9)).char_comparisons
+        assert row.expected_char_comparisons == want
+    # One symbol: every placement is a full match, so the count is certain.
+    report = measure_growth([64], [8], symbols="A")
+    assert report.rows[0].expected_char_comparisons == report.rows[0].char_comparisons
+    table = format_table(report)
+    assert "expected_char" in table.splitlines()[0]
+    assert " 1.0000 " in table.splitlines()[1]

@@ -1,5 +1,7 @@
+import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from seqalign import (
     Sequence,
     count_comparisons,
     enumerate_matches,
+    expected_comparisons,
     validate_block,
 )
+from seqalign.matcher import measure_counters
 from seqalign.oracle import naive_match_scan, naive_scan_counters
 from conftest import S_DNA, V_DNA
 
@@ -241,3 +245,104 @@ def test_empty_and_misordered_inputs():
         enumerate_matches(Sequence("s", "AC"), Sequence("v", "ACGT"))
     with pytest.raises(ValueError):
         MatchOptions(min_window=0)
+
+
+def _per_cell_reference(s, v, min_window):
+    """The matcher as a row loop with per-cell counter formulas: hits and
+    (substring, char) counts, the reference for the whole-row scan."""
+    m, n = len(s), len(v)
+    s_arr = np.frombuffer(s.residues.encode("ascii"), dtype=np.uint8)
+    v_arr = np.frombuffer(v.residues.encode("ascii"), dtype=np.uint8)
+    below = np.zeros(m + 1, dtype=np.min_scalar_type(n + 1))
+    row = np.zeros_like(below)
+    to_end = m - np.arange(m)
+    hit_rows, substr, chars = [], 0, 0
+    for i in range(n - 1, -1, -1):
+        np.add(below[1:], 1, out=row[:m])
+        row[:m] *= v_arr[i] == s_arr
+        run = row[:m].astype(np.int64)
+        span = np.minimum(n - i, to_end)
+        substr += int(np.maximum(span - min_window + 1, 0).sum())
+        series = (min_window + run) * np.maximum(run - min_window + 1, 0) // 2
+        capped = (run + 1) * np.maximum(span - np.maximum(min_window, run + 1) + 1, 0)
+        chars += int(series.sum() + capped.sum())
+        cols = np.flatnonzero(run >= min_window)
+        if cols.size:
+            hit_rows.append(np.column_stack((np.full(cols.size, i), cols, run[cols])))
+        below, row = row, below
+    hit_rows.reverse()
+    hits = np.concatenate(hit_rows) if hit_rows else np.empty((0, 3), dtype=np.int64)
+    return hits, substr, chars
+
+
+def _read_map_pair(rng, m, n):
+    """A read of four reference segments separated by 1-12-symbol deletions."""
+    ref = "".join(rng.choice("ACGT") for _ in range(m))
+    gaps = [rng.randint(1, 12) for _ in range(3)] + [0]
+    pos = rng.randint(0, m - n - sum(gaps))
+    parts = []
+    for gap in gaps:
+        parts.append(ref[pos : pos + n // 4])
+        pos += n // 4 + gap
+    return ref, "".join(parts)
+
+
+def _workload_cases():
+    rng = random.Random(17)
+    for k in range(3):
+        yield f"read-map-{k}", *_read_map_pair(rng, 4096, 128), 8
+    letters = "ACDEFGHIKLMNPQRSTVWY"
+    ref = "".join(rng.choice(letters) for _ in range(3000))
+    yield "20-letter-copied", ref, ref[1000:1200], 2
+    yield "20-letter-random", ref, "".join(rng.choice(letters) for _ in range(150)), 1
+    # n = 254..257 runs cross the uint8 -> uint16 row dtype.
+    for n in (254, 255, 256, 257):
+        for min_window in (1, 9):
+            yield f"polyA-{n}-w{min_window}", "A" * 300, "A" * n, min_window
+
+
+@pytest.mark.parametrize("name,s_res,v_res,min_window", list(_workload_cases()))
+def test_whole_row_scan_equals_per_cell_reference_at_workload_scale(name, s_res, v_res, min_window):
+    s, v = _pair(s_res, v_res)
+    index = enumerate_matches(s, v, MatchOptions(min_window=min_window))
+    hits, substr, chars = _per_cell_reference(s, v, index.min_window)
+    assert index.hits.dtype == np.int64
+    assert index.hits.shape == hits.shape
+    assert np.array_equal(index.hits, hits)
+    assert (index.counters.substring_comparisons, index.counters.char_comparisons) == (substr, chars)
+    assert index.counters.claimed_comparisons == count_comparisons(len(s), len(v)).claimed_comparisons
+    if index.min_window == 1:
+        assert measure_counters(s, v) == index.counters
+
+
+@pytest.mark.parametrize(
+    "m,n,sigma,min_window", [(4, 2, 2, 1), (5, 3, 2, 1), (4, 3, 3, 1), (6, 3, 2, 2), (5, 3, 2, 3)]
+)
+def test_expected_comparisons_equal_the_mean_over_all_inputs(m, n, sigma, min_window):
+    symbols = "ABC"[:sigma]
+    total = [0, 0, 0]
+    for s_res in itertools.product(symbols, repeat=m):
+        for v_res in itertools.product(symbols, repeat=n):
+            counters = enumerate_matches(
+                *_pair("".join(s_res), "".join(v_res)), MatchOptions(min_window=min_window)
+            ).counters
+            total[0] += counters.substring_comparisons
+            total[1] += counters.char_comparisons
+            total[2] += counters.claimed_comparisons
+    mean = [Fraction(t, sigma ** (m + n)) for t in total]
+    got = expected_comparisons(m, n, Fraction(1, sigma), min_window)
+    got = [got.substring_comparisons, got.char_comparisons, got.claimed_comparisons]
+    assert got == mean
+    assert all(isinstance(x, Fraction) for x in got)
+
+
+def test_expected_comparisons_edges():
+    # q = 1: every placement is a full match of all j symbols, the upper bound.
+    bound = count_comparisons(12, 5, 2)
+    assert expected_comparisons(12, 5, 1, 2).char_comparisons == bound.char_comparisons
+    # q = 0: one symbol per placement.
+    assert expected_comparisons(12, 5, 0, 2).char_comparisons == bound.substring_comparisons
+    with pytest.raises(ValueError):
+        expected_comparisons(12, 5, Fraction(3, 2))
+    with pytest.raises(ValueError):
+        expected_comparisons(4, 5, Fraction(1, 4))

@@ -15,7 +15,6 @@ from .chainer import (
     RenderedAlignment,
     enumerate_candidates,
     render,
-    swap_for_insertions,
 )
 from .core import (
     ALPHABETS,
@@ -35,7 +34,6 @@ from .core import (
     SizeLimitError,
     StructuralViolationError,
     UPPERCASE,
-    canonicalize,
     validate_block,
     validate_chain,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "SizeLimitError",
     "StructuralViolationError",
     "UPPERCASE",
-    "canonicalize",
     "chain_statistics",
     "count_comparisons",
     "emit_fasta",
@@ -94,7 +91,6 @@ __all__ = [
     "select",
     "smith_waterman",
     "statistics",
-    "swap_for_insertions",
     "validate_block",
     "validate_chain",
 ]

@@ -6,10 +6,12 @@ fragment (deletions-only reading); otherwise coverage is maximized and the
 leftover fragment symbols are placed into the reference gap next to their
 neighboring block and reported as substitution sites.
 
-Chains are generated directly in canonical form: an extension that is
-contiguous with its predecessor in both sequences is skipped, because the
-merged block is itself in the index and produces the same canonical chain.
-Each state is expanded once, so every chain is emitted once.
+Chains are generated directly in canonical form (the form that
+oracle.canonicalize computes): an extension that is contiguous with its
+predecessor in both sequences is skipped, because the merged block is itself
+in the index and produces the same canonical chain. Each state is expanded
+once, so every chain is emitted once. align --swap reads insertions by
+exchanging the operands before matching.
 
 The search reads the index's hit rows and works on plain coordinate tuples.
 Only the completed chains that can still be among the kept max_candidates
@@ -205,12 +207,6 @@ def enumerate_candidates(
         entries.append((chain, gapstats.chain_statistics(chain, m)))
     entries = heapq.nsmallest(k, entries, key=gapstats.sort_key(policy))
     return ChainResult(entries=tuple(entries), truncated=truncated, full_coverage=full_coverage)
-
-
-def swap_for_insertions(s: Sequence, v: Sequence) -> tuple:
-    """Swap operand roles so that gaps in the result row read as insertions
-    relative to the original reference; swapping twice restores the input."""
-    return v, s
 
 
 @dataclass(frozen=True)

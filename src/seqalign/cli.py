@@ -134,8 +134,8 @@ def _load_pair(args) -> tuple:
 def cmd_align(args) -> int:
     scheme = _parse_scheme(args.scheme)  # validated even when unused
     s, v = _load_pair(args)
-    if args.swap:
-        s, v = chainer.swap_for_insertions(s, v)
+    if args.swap:  # gaps in the placed row then read as insertions
+        s, v = v, s
 
     if args.algo in ("nw", "sw"):
         align = baselines.needleman_wunsch if args.algo == "nw" else baselines.smith_waterman
@@ -207,9 +207,9 @@ def _verify_matcher(rng, cases, max_m, max_n):
         index = matcher.enumerate_matches(s, v, matcher.MatchOptions(min_window=min_window))
         where = f"case {case}: S={s.residues} V={v.residues} min_window={min_window}"
         got = index.blocks()
-        want = [
-            b for j in range(n, index.min_window - 1, -1) for b in oracle.naive_match_scan(s, v, j)
-        ]
+        want = sorted(
+            b for j in range(index.min_window, n + 1) for b in oracle.naive_match_scan(s, v, j)
+        )
         if got != want:
             return f"{where}: blocks {got} != oracle {want}"
         want_counters = oracle.naive_scan_counters(s, v, index.min_window)
@@ -226,9 +226,9 @@ def _verify_matcher(rng, cases, max_m, max_n):
 # taken from gapstats.sort_key, so the chainer suite checks the cut against it.
 # variance_only compares the exact variance; no runs count as one run of 0.
 _DOCUMENTED_ORDER = {
-    "mean_then_variance": lambda chain, st: (st.mean, st.variance, chain.key()),
-    "variance_only": lambda c, st: (pvariance(map(Fraction, st.runs or (0,))), st.mean, c.key()),
-    "mean_only": lambda chain, st: (st.mean, chain.key()),
+    "mean_then_variance": lambda chain, st: (st.mean, st.variance, chain.blocks),
+    "variance_only": lambda c, st: (pvariance(map(Fraction, st.runs or (0,))), st.mean, c.blocks),
+    "mean_only": lambda chain, st: (st.mean, chain.blocks),
 }
 
 
@@ -242,9 +242,9 @@ def _verify_chainer(rng, cases, max_m, max_n):
         s, v = bench.random_sequence(rng, m, "AB", "s"), bench.random_sequence(rng, n, "AB", "v")
         index = matcher.enumerate_matches(s, v)
         result = chainer.enumerate_candidates(index, s, v, uncapped)
-        got = {chain.key() for chain in result.chains} if result.full_coverage else set()
+        got = {chain.blocks for chain in result.chains} if result.full_coverage else set()
         exhaustive = oracle.exhaustive_chains(index.blocks(), n)
-        want = {chain.key() for chain in exhaustive}
+        want = {chain.blocks for chain in exhaustive}
         if got != want:
             return f"case {case}: S={s.residues} V={v.residues}: chains differ {sorted(got ^ want)}"
         if not result.full_coverage:
@@ -256,8 +256,8 @@ def _verify_chainer(rng, cases, max_m, max_n):
             policy = gapstats.SelectionPolicy(mode=mode)
             result = chainer.enumerate_candidates(index, s, v, capped, policy)
             ranked = sorted(exhaustive, key=lambda c: order(c, gapstats.chain_statistics(c, m)))
-            got_keys = [chain.key() for chain in result.chains]
-            want_keys = [chain.key() for chain in ranked[:k]]
+            got_keys = [chain.blocks for chain in result.chains]
+            want_keys = [chain.blocks for chain in ranked[:k]]
             if got_keys != want_keys or result.truncated != (len(ranked) > k):
                 return (
                     f"case {case}: S={s.residues} V={v.residues} {mode} max_candidates={k}: "

@@ -46,18 +46,14 @@ class ParseError(SeqalignError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """A named set of admissible residue symbols."""
+    """A named set of admissible residue symbols.
+
+    Input is checked against it as it is parsed (seqalign.io), with the line
+    and column of the first symbol outside it.
+    """
 
     name: str
     symbols: frozenset
-
-    def validate(self, residues: str) -> None:
-        """Raise ParseError at the first symbol outside the alphabet (1-based column)."""
-        for i, ch in enumerate(residues):
-            if ch not in self.symbols:
-                raise ParseError(
-                    f"symbol {ch!r} not in alphabet {self.name!r}", column=i + 1
-                )
 
 
 UPPERCASE = Alphabet("upper", frozenset(string.ascii_uppercase))
@@ -139,7 +135,7 @@ class CandidateAlignment:
     """An ordered, compatible chain of match blocks placing V along S.
 
     Blocks are sorted by v_start and never overlap or cross in either
-    sequence.
+    sequence. The blocks tuple is the chain's total order and hash key.
     """
 
     blocks: tuple
@@ -151,26 +147,6 @@ class CandidateAlignment:
     @property
     def coverage(self) -> int:
         return sum(b.length for b in self.blocks)
-
-    def key(self) -> tuple:
-        """Lexicographic key on the block coordinate list; total order on chains."""
-        return tuple((b.v_start, b.s_start, b.length) for b in self.blocks)
-
-
-def canonicalize(chain: CandidateAlignment) -> CandidateAlignment:
-    """Merge every consecutive block pair that is contiguous in both sequences.
-
-    The rendering of the input and output chains is identical; the result is
-    the unique canonical form, and the operation is idempotent.
-    """
-    merged = []
-    for b in chain.blocks:
-        if merged and merged[-1].v_end == b.v_start and merged[-1].s_end == b.s_start:
-            last = merged.pop()
-            merged.append(MatchBlock(last.v_start, last.s_start, last.length + b.length))
-        else:
-            merged.append(b)
-    return CandidateAlignment(blocks=tuple(merged))
 
 
 def validate_chain(chain: CandidateAlignment, s: Sequence, v: Sequence) -> None:

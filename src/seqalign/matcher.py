@@ -22,7 +22,9 @@ it holds sizes(i, c) = max(J - w + 1, 0) placements. The counters follow:
   T(x) = x(x+1)/2, the last sum over the cells with run >= w alone. In
   row i every column c <= m-(n-i) holds the same n-i-w+1 sizes and the
   later ones one fewer per column, so sum(run * sizes) is a row sum plus a
-  dot over at most n-i tail columns.
+  dot over at most n-i tail columns;
+- claimed_comparisons, the paper's sum((m-(n-k))*(n-k) for k < n), is
+  m*T1(n) - T2(n) in the sums T1, T2 of i and i*i; oracle.py keeps the loop.
 
 A size-j match at (i, c) exists exactly when run[i, c] >= j, so the index
 keeps one row (v_start, s_start, run) per cell with run >= w (the
@@ -70,14 +72,12 @@ class MatchIndex:
     counters: ComparisonCounters = field(default_factory=ComparisonCounters)
 
     def blocks(self) -> list:
-        """All blocks, largest windows first, in (v_start, s_start) order within a size."""
-        out = [
+        """All blocks in sorted MatchBlock order: each row in turn, sizes ascending."""
+        return [
             MatchBlock(v_start, s_start, j)
             for v_start, s_start, run in self.hits.tolist()
             for j in range(self.min_window, run + 1)
         ]
-        out.sort(key=lambda b: b.length, reverse=True)  # stable: row order within a size
-        return out
 
 
 def _as_bytes(seq: Sequence) -> np.ndarray:
@@ -134,12 +134,16 @@ def _rows(s: Sequence, v: Sequence, min_window: int):
         below, row = row, below
 
 
+def _power_sums(k: int) -> tuple:
+    """(T1(k), T2(k)), the sums of i and of i*i over i in 1..k (T1(k)**2 sums i**3)."""
+    return k * (k + 1) // 2, k * (k + 1) * (2 * k + 1) // 6
+
+
 def _substring_count(m: int, n: int, min_window: int) -> int:
     """sum((n-j+1)*(m-j+1) for j in min_window..n) in closed form: with
-    i = n-j+1 in 1..k it is the sum of i*(m-n+i), (m-n)*T(k) plus the sum of
-    the squares up to k."""
-    k = n - min_window + 1
-    return (m - n) * k * (k + 1) // 2 + k * (k + 1) * (2 * k + 1) // 6
+    i = n-j+1 in 1..k, k = n-min_window+1, it is the sum of i*(m-n+i)."""
+    t1, t2 = _power_sums(n - min_window + 1)
+    return (m - n) * t1 + t2
 
 
 def _full_match_savings(runs: np.ndarray, min_window: int) -> int:
@@ -198,8 +202,9 @@ def measure_counters(s: Sequence, v: Sequence) -> ComparisonCounters:
 
 
 def claimed_formula_value(m: int, n: int) -> int:
-    """The advertised closed-form comparison count sum((m-(n-k))*(n-k), k=0..n-1)."""
-    return sum((m - (n - k)) * (n - k) for k in range(n))
+    """The paper's count sum((m-(n-k))*(n-k), k=0..n-1) = sum((m-i)*i, i=1..n)."""
+    t1, t2 = _power_sums(n)
+    return m * t1 - t2
 
 
 def count_comparisons(m: int, n: int, min_window: int = 1) -> ComparisonCounters:
@@ -208,21 +213,17 @@ def count_comparisons(m: int, n: int, min_window: int = 1) -> ComparisonCounters
     substring_comparisons is sum over window sizes j of (n-j+1)*(m-j+1) and
     matches the measured count exactly. char_comparisons here is the
     no-short-circuit upper bound (every test inspects all j symbols);
-    measured char counts are at most this value.
+    measured char counts are at most this value. With i = n-j+1 in 1..k,
+    k = n-min_window+1, its term (n-j+1)*(m-j+1)*j is i*(m-n+i)*(n+1-i).
     """
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
     if not 1 <= min_window <= n:
         raise ValueError("need 1 <= min_window <= n")
-    substr = 0
-    chars = 0
-    for j in range(min_window, n + 1):
-        pairs = (n - j + 1) * (m - j + 1)
-        substr += pairs
-        chars += pairs * j
+    t1, t2 = _power_sums(n - min_window + 1)
     return ComparisonCounters(
-        substring_comparisons=substr,
-        char_comparisons=chars,
+        substring_comparisons=_substring_count(m, n, min_window),
+        char_comparisons=(n + 1) * (m - n) * t1 + (2 * n + 1 - m) * t2 - t1 * t1,
         claimed_comparisons=claimed_formula_value(m, n),
     )
 

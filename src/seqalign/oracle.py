@@ -1,13 +1,13 @@
 """Independent brute-force verifiers for the production modules.
 
 Deliberately naive and kept apart from the production code paths: the match
-scan and its comparison counts come from a plain double loop, chain
-enumeration explores every valid block combination (canonicalizing
-afterwards), and the alignment scores come from exhaustively scoring every
-monotone pairing of symbol positions — every global alignment with linear
-gap costs corresponds to exactly one such pairing, so the maximum over
-pairings is the maximum over alignments. Hard size limits raise
-SizeLimitError instead of running forever.
+scan and its comparison counts come from a plain double loop, the closed-form
+counts (the paper's claimed one too) as their literal sums, chain enumeration
+explores every valid block combination (canonicalizing afterwards), and the
+alignment scores come from exhaustively scoring every monotone pairing of
+symbol positions — every global alignment with linear gap costs corresponds to
+exactly one such pairing, so the maximum over pairings is the maximum over
+alignments. Hard size limits raise SizeLimitError instead of running forever.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from .core import (
     ScoringScheme,
     Sequence,
     SizeLimitError,
-    canonicalize,
 )
-from .matcher import claimed_formula_value
 
 MAX_SCORE_LEN = 8
 MAX_CHAIN_BLOCKS = 512
@@ -53,6 +51,22 @@ def naive_match_scan(s: Sequence, v: Sequence, j: int) -> list:
     return [MatchBlock(v_off, s_off, j) for v_off, s_off, k in _scan(s, v, j) if k == j]
 
 
+def claimed_count(m: int, n: int) -> int:
+    """The paper's comparison count, as its loop: sum((m-(n-k))*(n-k), k=0..n-1)."""
+    return sum((m - (n - k)) * (n - k) for k in range(n))
+
+
+def literal_counts(m: int, n: int, min_window: int = 1) -> ComparisonCounters:
+    """matcher.count_comparisons written as its sums: one substring test of
+    j symbols per size-j placement, j in min_window..n, and the claimed count."""
+    substr = chars = 0
+    for j in range(min_window, n + 1):
+        placements = (n - j + 1) * (m - j + 1)
+        substr += placements
+        chars += placements * j
+    return ComparisonCounters(substr, chars, claimed_count(m, n))
+
+
 def naive_scan_counters(s: Sequence, v: Sequence, min_window: int = 1) -> ComparisonCounters:
     """The counters of a short-circuiting scan over window sizes min_window..n:
     one substring comparison per placement, and the symbols inspected up to
@@ -67,8 +81,24 @@ def naive_scan_counters(s: Sequence, v: Sequence, min_window: int = 1) -> Compar
     return ComparisonCounters(
         substring_comparisons=substr,
         char_comparisons=chars,
-        claimed_comparisons=claimed_formula_value(len(s), len(v)),
+        claimed_comparisons=claimed_count(len(s), len(v)),
     )
+
+
+def canonicalize(chain: CandidateAlignment) -> CandidateAlignment:
+    """Merge every consecutive block pair that is contiguous in both sequences.
+
+    The rendering of the input and output chains is identical; the result is
+    the unique canonical form, and the operation is idempotent.
+    """
+    merged = []
+    for b in chain.blocks:
+        if merged and merged[-1].v_end == b.v_start and merged[-1].s_end == b.s_start:
+            last = merged.pop()
+            merged.append(MatchBlock(last.v_start, last.s_start, last.length + b.length))
+        else:
+            merged.append(b)
+    return CandidateAlignment(blocks=tuple(merged))
 
 
 def exhaustive_chains(blocks: list, n: int) -> list:
@@ -94,9 +124,8 @@ def exhaustive_chains(blocks: list, n: int) -> list:
     def extend(v_pos: int, s_end: int, acc: tuple) -> None:
         if v_pos == n:
             chain = canonicalize(CandidateAlignment(blocks=acc))
-            key = chain.key()
-            if key not in seen:
-                seen.add(key)
+            if chain.blocks not in seen:
+                seen.add(chain.blocks)
                 out.append(chain)
             return
         for b in by_v.get(v_pos, ()):

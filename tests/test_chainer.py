@@ -9,20 +9,19 @@ from seqalign import (
     ChainOptions,
     EmptyInputError,
     MatchBlock,
+    OrderViolationError,
     SelectionPolicy,
     Sequence,
     StructuralViolationError,
-    canonicalize,
     enumerate_candidates,
     enumerate_matches,
     gap_runs,
     render,
     select,
-    swap_for_insertions,
 )
 from seqalign import gapstats
 from seqalign.gapstats import MODES
-from seqalign.oracle import exhaustive_chains
+from seqalign.oracle import canonicalize, exhaustive_chains
 from conftest import KNOWN_PLACEMENTS, S_DNA, V_DNA, chain_of
 
 UNCAPPED = ChainOptions(max_candidates=10**9, beam_width=10**9)
@@ -40,9 +39,9 @@ def _random_pair(rng, max_m, max_n, symbols):
 def test_dna_example_contains_known_placements(dna_pair):
     s, v = dna_pair
     result = enumerate_candidates(enumerate_matches(s, v), s, v)  # default caps
-    keys = {chain.key() for chain in result.chains}
+    keys = {chain.blocks for chain in result.chains}
     for coords in KNOWN_PLACEMENTS:
-        assert coords in keys
+        assert chain_of(coords).blocks in keys
     assert result.full_coverage
     for chain in result.chains:
         assert chain.coverage == len(v)
@@ -64,7 +63,7 @@ def test_uncapped_equals_exhaustive_on_dna_example(dna_pair):
     index = enumerate_matches(s, v)
     got = enumerate_candidates(index, s, v, UNCAPPED)
     want = exhaustive_chains(index.blocks(), len(v))
-    assert {c.key() for c in got.chains} == {c.key() for c in want}
+    assert {c.blocks for c in got.chains} == {c.blocks for c in want}
     assert not got.truncated
 
 
@@ -74,8 +73,8 @@ def test_uncapped_equals_exhaustive_on_random_instances():
         s, v = _random_pair(rng, 12, 6, "AB")
         index = enumerate_matches(s, v)
         result = enumerate_candidates(index, s, v, UNCAPPED)
-        want = {c.key() for c in exhaustive_chains(index.blocks(), len(v))}
-        got = {c.key() for c in result.chains} if result.full_coverage else set()
+        want = {c.blocks for c in exhaustive_chains(index.blocks(), len(v))}
+        got = {c.blocks for c in result.chains} if result.full_coverage else set()
         assert got == want, (s.residues, v.residues)
 
 
@@ -93,7 +92,7 @@ def test_emitted_chains_are_unique_and_canonical():
                 s, v = _random_pair(rng, 12, 6, "AB")
                 result = enumerate_candidates(enumerate_matches(s, v), s, v, opts)
                 fallbacks += full_cover and not result.full_coverage
-                keys = [c.key() for c in result.chains]
+                keys = [c.blocks for c in result.chains]
                 assert len(keys) == len(set(keys)), (full_cover, beam, s.residues, v.residues)
                 for chain in result.chains:
                     assert canonicalize(chain).blocks == chain.blocks
@@ -113,7 +112,7 @@ def test_beam_keeps_policy_optimal_chain():
         beamed = enumerate_candidates(index, s, v, ChainOptions(), policy=policy)
         best_full = full.entries[select(full.entries, policy)]
         best_beamed = beamed.entries[select(beamed.entries, policy)]
-        assert best_beamed[0].key() == best_full[0].key()
+        assert best_beamed[0].blocks == best_full[0].blocks
 
 
 def test_truncation_reports_flag(dna_pair):
@@ -177,17 +176,22 @@ def test_chain_options_validation():
 
 
 def test_swap_is_a_pure_involution(dna_pair):
+    # align --swap exchanges the operands with a plain tuple swap: the
+    # exchanged pair is refused for its longer fragment, and exchanging
+    # again restores the input.
     s, v = dna_pair
-    swapped = swap_for_insertions(s, v)
-    assert swapped == (v, s)
-    assert swap_for_insertions(*swapped) == (s, v)
+    s, v = v, s
+    with pytest.raises(OrderViolationError):
+        enumerate_matches(s, v)
+    s, v = v, s
+    assert (s, v) == dna_pair
 
 
 def test_swap_exposes_insertions_as_gap_runs():
     # The fragment carries an extra G relative to the reference; after the
     # swap the alignment's single gap run sits exactly on that insertion.
     reference, fragment = Sequence("s", "ACT"), Sequence("v", "ACGT")
-    s, v = swap_for_insertions(reference, fragment)
+    s, v = fragment, reference
     assert (s, v) == (fragment, reference)
     result = enumerate_candidates(enumerate_matches(s, v), s, v)
     assert result.full_coverage

@@ -259,13 +259,17 @@ def test_verify_reports_counterexample_for_bad_build(capsys, monkeypatch):
         return index
 
     # Counters right, but one row's run one short. Then every block right,
-    # but the sizes listed smallest first: a per-size set comparison passes
-    # that build, the ordered comparison does not.
+    # but listed size-major, smallest size first: a per-size set comparison
+    # passes that build, the ordered comparison does not. Last, the paper's
+    # claimed count off by one: the oracle checks it against its own copy of
+    # the paper's loop, not against the matcher's closed form.
     real_blocks = matcher.MatchIndex.blocks
+    real_claimed = matcher.claimed_formula_value
     builds = (
         (matcher, "enumerate_matches", miscounting),
         (matcher, "enumerate_matches", short_run),
         (matcher.MatchIndex, "blocks", lambda index: sorted(real_blocks(index), key=lambda b: b.length)),
+        (matcher, "claimed_formula_value", lambda m, n: real_claimed(m, n) + 1),
     )
     for target, name, bad in builds:
         monkeypatch.undo()

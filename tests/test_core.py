@@ -4,16 +4,15 @@ from hypothesis import given, strategies as st
 from seqalign import (
     CandidateAlignment,
     ComparisonCounters,
-    DNA,
     MatchBlock,
     ParseError,
     ScoringScheme,
     Sequence,
     StructuralViolationError,
-    canonicalize,
     validate_block,
     validate_chain,
 )
+from seqalign.oracle import canonicalize
 from conftest import chain_of
 
 
@@ -32,13 +31,6 @@ def test_sequence_rejects_non_uppercase():
     for residues, bad in (("AÉ", "É"), ("ACgT", "g"), ("AΣ", "Σ")):
         with pytest.raises(ParseError, match=f"residue {bad!r} "):
             Sequence("x", residues)
-
-
-def test_dna_alphabet_rejects_outsiders():
-    DNA.validate("ACGT")
-    with pytest.raises(ParseError) as exc:
-        DNA.validate("ACGU")
-    assert exc.value.column == 4
 
 
 def test_match_block_bad_coordinates():

@@ -12,6 +12,7 @@ from seqalign import (
 )
 from seqalign.oracle import (
     MAX_CHAIN_BLOCKS,
+    canonicalize,
     exhaustive_chains,
     exhaustive_global_score,
     exhaustive_local_score,
@@ -66,9 +67,9 @@ def test_exhaustive_chains_on_restricted_block_set():
     # valid combination of the same blocks) and nothing invalid.
     blocks = sorted({MatchBlock(*c) for coords in KNOWN_PLACEMENTS for c in coords})
     chains = exhaustive_chains(blocks, len(V_DNA))
-    keys = {c.key() for c in chains}
+    keys = {c.blocks for c in chains}
     for coords in KNOWN_PLACEMENTS:
-        assert coords in keys
+        assert tuple(MatchBlock(*c) for c in coords) in keys
     for c in chains:
         assert c.coverage == len(V_DNA)
 

@@ -1,10 +1,11 @@
 """Build candidate alignments from a match index.
 
 A candidate is a chain of match blocks, strictly ordered and non-overlapping
-in both sequences. With full coverage required the blocks tile the whole
-fragment (deletions-only reading); otherwise coverage is maximized and the
-leftover fragment symbols are placed into the reference gap next to their
-neighboring block and reported as substitution sites.
+in both sequences. The search looks for chains whose blocks tile the whole
+fragment (deletions-only reading) first. Only when there is none does it fall
+back to the chains of maximal coverage; their leftover fragment symbols are
+placed into the reference gap next to their neighboring block and reported as
+substitution sites.
 
 Chains are generated directly in canonical form (the form that
 oracle.canonicalize computes): an extension that is contiguous with its
@@ -40,7 +41,7 @@ from .matcher import MatchIndex
 
 @dataclass(frozen=True)
 class ChainOptions:
-    """Caps and coverage mode for candidate enumeration.
+    """Caps for candidate enumeration.
 
     max_candidates bounds the emitted list: the best max_candidates in
     policy order are kept by selection. beam_width likewise keeps the best
@@ -50,7 +51,6 @@ class ChainOptions:
 
     max_candidates: int = 1024
     beam_width: int = 256
-    require_full_coverage: bool = True
 
     def __post_init__(self):
         if self.max_candidates < 1:
@@ -129,8 +129,8 @@ def _search(index: MatchIndex, n: int, m: int, opts: ChainOptions, full_cover: b
             continue
         if len(group) > opts.beam_width:
             group = heapq.nsmallest(opts.beam_width, group, key=_beam_key)
+        starts = [v_pos] if full_cover else range(v_pos, n)
         for blocks, v_end, s_end, runs in group:
-            starts = [v_pos] if full_cover else range(v_pos, n)
             for v_start in starts:
                 for b in blocks_at(v_start):
                     _, b_s, length = b
@@ -142,7 +142,7 @@ def _search(index: MatchIndex, n: int, m: int, opts: ChainOptions, full_cover: b
                         if s_gap < max(v_start - v_end, 1):
                             continue
                         new_runs += (s_gap,)
-                    elif not full_cover and b_s < v_start:
+                    elif b_s < v_start:
                         continue  # no room to place the leading span
                     new_v_end, new_s_end = v_start + length, b_s + length
                     new = (blocks + (b,), new_v_end, new_s_end, new_runs)
@@ -168,9 +168,10 @@ def enumerate_candidates(
 ) -> ChainResult:
     """Enumerate canonical candidate chains, ordered by the selection policy.
 
-    With require_full_coverage set and no full-coverage chain available, the
-    result carries the best partial-coverage chains and full_coverage=False
-    so callers can tell the difference from an empty outcome.
+    Full-coverage chains are searched for first. When the search finds none,
+    the result carries the partial-coverage chains of maximal coverage and
+    full_coverage=False, so callers can tell the difference from an empty
+    outcome.
 
     Every completion is ranked on the leading component of the policy order
     (gapstats.leading_key), read off the runs its search state carries. Only
@@ -183,7 +184,7 @@ def enumerate_candidates(
     if index.n != n or index.m != m:
         raise StructuralViolationError("match index does not belong to these sequences")
 
-    states = _search(index, n, m, opts, full_cover=True) if opts.require_full_coverage else []
+    states = _search(index, n, m, opts, full_cover=True)
     full_coverage = bool(states)
     if not states:
         states = _search(index, n, m, opts, full_cover=False)

@@ -137,6 +137,39 @@ def exhaustive_chains(blocks: list, n: int) -> list:
     return out
 
 
+def exhaustive_partial_chains(blocks: list, m: int, n: int) -> list:
+    """Every canonical chain of maximal coverage over the given blocks whose
+    unmatched fragment spans all have room in the reference.
+
+    A chain is any sequence of blocks ordered and non-overlapping in both
+    sequences. It has room when the reference holds each unmatched span where
+    it is placed: the leading span before the first block, each interior span
+    in the gap before the next block, the trailing span after the last block.
+    All such chains are explored, then canonicalized and deduplicated, and
+    those of the largest coverage are kept; no blocks at all gives [].
+    """
+    if len(blocks) > MAX_CHAIN_BLOCKS:
+        raise SizeLimitError(
+            f"{len(blocks)} blocks exceed the exhaustive-chain limit of {MAX_CHAIN_BLOCKS}"
+        )
+    found = {}
+
+    def extend(acc: tuple) -> None:
+        last = acc[-1]
+        if m - last.s_end >= n - last.v_end:
+            chain = canonicalize(CandidateAlignment(blocks=acc))
+            found[chain.blocks] = chain
+        for b in blocks:
+            if b.v_start >= last.v_end and b.s_start - last.s_end >= b.v_start - last.v_end:
+                extend(acc + (b,))
+
+    for b in blocks:
+        if b.s_start >= b.v_start:
+            extend((b,))
+    best = max((chain.coverage for chain in found.values()), default=0)
+    return [chain for chain in found.values() if chain.coverage == best]
+
+
 @lru_cache(maxsize=None)
 def _combo(length: int, k: int) -> np.ndarray:
     return np.array(list(combinations(range(length), k)), dtype=np.intp)

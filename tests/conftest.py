@@ -1,4 +1,11 @@
+import sys
+from pathlib import Path
+
 import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))  # perfbench is a package at the repository root
 
 from seqalign import CandidateAlignment, MatchBlock, Sequence
 

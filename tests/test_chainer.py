@@ -80,24 +80,21 @@ def test_uncapped_equals_exhaustive_on_random_instances():
 
 def test_emitted_chains_are_unique_and_canonical():
     # The chainer emits chains straight from its search, with no dedupe or
-    # re-canonicalization pass, so this must hold in every mode and beam.
-    for full_cover in (True, False):
-        for beam in (1, 3, ChainOptions().beam_width, 10**9):
-            opts = ChainOptions(
-                max_candidates=10**9, beam_width=beam, require_full_coverage=full_cover
-            )
-            rng = random.Random(9)
-            fallbacks = 0
-            for _ in range(40):
-                s, v = _random_pair(rng, 12, 6, "AB")
-                result = enumerate_candidates(enumerate_matches(s, v), s, v, opts)
-                fallbacks += full_cover and not result.full_coverage
-                keys = [c.blocks for c in result.chains]
-                assert len(keys) == len(set(keys)), (full_cover, beam, s.residues, v.residues)
-                for chain in result.chains:
-                    assert canonicalize(chain).blocks == chain.blocks
-            if full_cover:
-                assert fallbacks  # the full-to-partial fallback was exercised
+    # re-canonicalization pass, so this must hold at every beam, in the
+    # full-cover search and in the partial fallback alike.
+    for beam in (1, 3, ChainOptions().beam_width, 10**9):
+        opts = ChainOptions(max_candidates=10**9, beam_width=beam)
+        rng = random.Random(9)
+        fallbacks = 0
+        for _ in range(40):
+            s, v = _random_pair(rng, 12, 6, "AB")
+            result = enumerate_candidates(enumerate_matches(s, v), s, v, opts)
+            fallbacks += not result.full_coverage
+            keys = [c.blocks for c in result.chains]
+            assert len(keys) == len(set(keys)), (beam, s.residues, v.residues)
+            for chain in result.chains:
+                assert canonicalize(chain).blocks == chain.blocks
+        assert fallbacks  # the full-to-partial fallback was exercised
 
 
 def test_beam_keeps_policy_optimal_chain():
@@ -151,14 +148,6 @@ def test_disjoint_alphabets_yield_empty_partial_result():
     result = enumerate_candidates(enumerate_matches(s, v), s, v)
     assert not result.full_coverage
     assert result.entries == ()
-
-
-def test_relaxed_coverage_mode_maximizes_coverage():
-    s, v = Sequence("s", "AAAA"), Sequence("v", "AB")
-    opts = ChainOptions(require_full_coverage=False)
-    result = enumerate_candidates(enumerate_matches(s, v), s, v, opts)
-    assert not result.full_coverage
-    assert {chain.coverage for chain in result.chains} == {1}
 
 
 def test_index_sequence_mismatch_rejected(dna_pair):
@@ -286,10 +275,9 @@ def test_survivor_cut_equals_scoring_every_completion(monkeypatch, mode):
         yield Sequence("s", "A" * 30), Sequence("v", "A" * 6), ChainOptions()
         for _ in range(200):
             s, v = _random_pair(rng, 20, 6, "ACGT")
-            full_cover = rng.random() < 0.8
-            yield s, v, ChainOptions(max_candidates=rng.randint(1, 8), require_full_coverage=full_cover)
+            yield s, v, ChainOptions(max_candidates=rng.randint(1, 8))
 
-    truncating = 0
+    truncating = fallbacks = 0
     for s, v, opts in cases():
         index = enumerate_matches(s, v)
         calls = _counting_chain_statistics(monkeypatch)
@@ -305,6 +293,8 @@ def test_survivor_cut_equals_scoring_every_completion(monkeypatch, mode):
         assert got.full_coverage == every.full_coverage
         assert scored <= len(calls)
         truncating += got.truncated
+        fallbacks += not got.full_coverage
         if truncating == 40:
             break
     assert truncating == 40
+    assert fallbacks  # the partial fallback's cut was checked too

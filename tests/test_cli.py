@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from perfbench import workloads
 from seqalign import baselines, chainer, cli, matcher
 from seqalign.cli import main
 from conftest import KNOWN_PLACEMENTS, S_DNA, V_DNA
@@ -87,6 +91,51 @@ def test_align_partial_flag_accepts_partial(capsys):
     doc = json.loads(out)
     assert doc["full_coverage"] is False
     assert doc["candidates"]
+
+
+def _align_json(argv, partial):
+    """Exit code and JSON document of one align, without the --partial echo."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["align", *argv, "--format", "json", *["--partial"] * partial])
+    doc = json.loads(out.getvalue())
+    assert doc["options"].pop("require_full_coverage") is not partial
+    return code, doc
+
+
+READ_MAP_PAIR_0 = workloads.make("read-map", 1).pairs[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--s", "TCTCAGAGGAACCCAACGTGTGGGTCCTCACGTATCCCTCGTCTCTAGGATC", "--v", "CTGTAACA"),
+    ("--s", READ_MAP_PAIR_0.s, "--v", READ_MAP_PAIR_0.v, "--min-window", "8"),
+], ids=["full-cover", "read-map-1-0"])
+def test_partial_flag_keeps_the_full_cover(argv):
+    # --partial picks the exit code only: the full-cover search still runs
+    # first, so a pair with a cover gets the default run's document.
+    default = _align_json(argv, partial=False)
+    partial = _align_json(argv, partial=True)
+    assert default[0] == 0 and default[1]["full_coverage"]
+    assert partial == default
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.text(st.sampled_from("AB"), min_size=1, max_size=10),
+    st.text(st.sampled_from("AB"), min_size=1, max_size=5),
+    st.sampled_from(["mean", "variance", "mean-only"]),
+    st.integers(1, 4),
+    st.sampled_from([1, 2, 256]),
+)
+def test_partial_flag_changes_only_the_exit_code(s, v, select, cap, beam):
+    if len(v) > len(s):
+        s, v = v, s
+    argv = ("--s", s, "--v", v, "--select", select, "--max-candidates", str(cap),
+            "--beam", str(beam))
+    code, doc = _align_json(argv, partial=False)
+    code_partial, doc_partial = _align_json(argv, partial=True)
+    assert doc_partial == doc
+    assert (code, code_partial) == ((0, 0) if doc["full_coverage"] else (2, 0))
 
 
 def test_align_swap_handles_longer_fragment(capsys):
@@ -293,11 +342,19 @@ def test_verify_reports_counterexample_for_bad_build(capsys, monkeypatch):
             truncated=len(full.entries) > opts.max_candidates,
         )
 
-    monkeypatch.setattr(chainer, "enumerate_candidates", keeps_worst)
-    code, out, _ = run(capsys, "verify", "--suite", "chainer", "--seed", "7", "--cases", "20")
-    assert code == 3
-    assert "FAIL chainer" in out
-    assert "S=" in out and "V=" in out
+    # Then a fallback that counts every chain's coverage as 0, so it keeps
+    # the partial chains of every coverage, not only of the best: the
+    # chainer suite checks no-cover pairs against the oracle's fallback.
+    for target, name, bad in (
+        (chainer, "enumerate_candidates", keeps_worst),
+        (chainer, "_length", lambda block: 0),
+    ):
+        monkeypatch.undo()
+        monkeypatch.setattr(target, name, bad)
+        code, out, _ = run(capsys, "verify", "--suite", "chainer", "--seed", "7", "--cases", "20")
+        assert code == 3
+        assert "FAIL chainer" in out
+        assert "S=" in out and "V=" in out
 
 
 def test_bench_small_run(capsys):

@@ -340,7 +340,7 @@ def reports(draw):
         align = needleman_wunsch if algo == "nw" else smith_waterman
         return AlignmentReport(algorithm=algo, scored=align(s, v, scheme), **common)
     policy = SelectionPolicy(mode=draw(st.sampled_from(MODES)))
-    opts = ChainOptions(max_candidates=draw(st.integers(1, 6)), require_full_coverage=False)
+    opts = ChainOptions(max_candidates=draw(st.integers(1, 6)))
     result = enumerate_candidates(enumerate_matches(s, v), s, v, opts, policy)
     entries = result.entries
     if draw(st.booleans()):  # statistics as any finite floats, e.g. 1.5555555555555554
@@ -370,11 +370,19 @@ def test_json_writer_on_fixed_cases(dna_pair, known_chains):
     report = _dna_report(dna_pair, known_chains)
     chain, stats = report.entries[0]
     odd = GapStatistics(stats.runs, 1.5555555555555554, -0.0)
+    # A partial outcome: C is absent from the reference, so the fallback
+    # places it in the gap between the matched A and B as a substitution.
+    s, v = Sequence("s", "AXXB"), Sequence("v", "ACB")
+    result = enumerate_candidates(enumerate_matches(s, v), s, v)
+    assert not result.full_coverage
+    assert [render(c, s, v).substitutions for c in result.chains] == [(1,)]
+    partial = replace(report, s=s, v=v, entries=result.entries, full_coverage=False)
     for case in (
         report,
         replace(report, entries=()),
         replace(report, entries=((chain, odd),)),
         replace(report, s=Sequence('q"\\\x01\u00e9', S_DNA)),
+        partial,
     ):
         assert emit_report(case, "json") == _reference_json(case)
     assert '"mean": 1.5555555555555554,' in emit_report(replace(report, entries=((chain, odd),)), "json")

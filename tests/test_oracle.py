@@ -16,6 +16,7 @@ from seqalign.oracle import (
     exhaustive_chains,
     exhaustive_global_score,
     exhaustive_local_score,
+    exhaustive_partial_chains,
     naive_match_scan,
     naive_scan_counters,
 )
@@ -78,6 +79,25 @@ def test_exhaustive_chains_size_limit():
     many = [MatchBlock(0, i, 1) for i in range(MAX_CHAIN_BLOCKS + 1)]
     with pytest.raises(SizeLimitError):
         exhaustive_chains(many, 1)
+    with pytest.raises(SizeLimitError):
+        exhaustive_partial_chains(many, MAX_CHAIN_BLOCKS + 1, 1)
+
+
+def _partial_keys(s, v):
+    blocks = enumerate_matches(_seq(s), _seq(v)).blocks()
+    return {c.blocks for c in exhaustive_partial_chains(blocks, len(s), len(v))}
+
+
+def test_exhaustive_partial_chains_by_hand():
+    # The trailing B needs a reference symbol after the matched A.
+    assert _partial_keys("AAAA", "AB") == {(MatchBlock(0, s, 1),) for s in range(3)}
+    # C goes into the gap between A and B. With no gap there is no room for
+    # it, and B at reference 1 leaves no room for the leading AC either.
+    assert _partial_keys("AXXB", "ACB") == {(MatchBlock(0, 0, 1), MatchBlock(2, 3, 1))}
+    assert _partial_keys("ABXX", "ACB") == {(MatchBlock(0, 0, 1),)}
+    # The leading C needs a reference symbol before the matched B.
+    assert _partial_keys("BXXX", "CB") == set()
+    assert _partial_keys("XXXX", "CB") == set()
 
 
 def test_global_score_tiny_cases():

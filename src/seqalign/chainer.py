@@ -10,14 +10,19 @@ substitution sites.
 Chains are generated directly in canonical form (the form that
 oracle.canonicalize computes): an extension that is contiguous with its
 predecessor in both sequences is skipped, because the merged block is itself
-in the index and produces the same canonical chain. Each state is expanded
+in the index and produces the same canonical chain. Each state is extended
 once, so every chain is emitted once. align --swap reads insertions by
 exchanging the operands before matching.
 
-The search reads the index's hit rows and works on plain coordinate tuples.
-Only the completed chains that can still be among the kept max_candidates
-(the survivors of a cut on the leading component of the policy order) are
-built as CandidateAlignments and scored with gapstats.chain_statistics.
+enumerate_candidates turns the index's hit rows into one table of plain
+(v_start, s_start, length) tuples once per call, and both searches (full
+cover, then the fallback) read that table. Only the completed chains that
+can still be among the kept max_candidates (the survivors of a cut on the
+leading component of the policy order) are built as CandidateAlignments and
+scored with gapstats.chain_statistics.
+
+render draws any chain in one walk in reference order, checking each block
+and unmatched span as it places it; there is no separate validation pass.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .core import (
     MatchBlock,
     Sequence,
     StructuralViolationError,
-    validate_chain,
 )
 from .gapstats import SelectionPolicy
 from .matcher import MatchIndex
@@ -94,32 +98,15 @@ def _beam_key(state):
     return (total, var, blocks)
 
 
-def _search(index: MatchIndex, n: int, m: int, opts: ChainOptions, full_cover: bool) -> list:
+def _search(table: dict, n: int, m: int, opts: ChainOptions, full_cover: bool) -> list:
     """Frontier search over fragment positions; returns completed states.
 
-    In full-coverage mode blocks must tile the fragment exactly; in partial
-    mode the next block may skip fragment symbols provided the reference gap
-    has room to hold them (so every emitted chain can be rendered).
+    table maps each fragment start to its (v_start, s_start, length)
+    blocks. In full-coverage mode blocks must tile the fragment exactly; in
+    partial mode the next block may skip fragment symbols provided the
+    reference gap has room to hold them (so every emitted chain can be
+    rendered).
     """
-    # Hit rows by fragment start; a start's blocks (one per size
-    # min_window..run of each row) are built when the search first reaches
-    # it, then shared by every state that uses them. Their order within a
-    # start is immaterial: both cuts use total orders that end in the blocks.
-    rows: dict = {}
-    for v_start, s_start, run in index.hits.tolist():
-        rows.setdefault(v_start, []).append((s_start, run))
-    expanded: dict = {}
-
-    def blocks_at(v_start: int) -> list:
-        got = expanded.get(v_start)
-        if got is None:
-            got = expanded[v_start] = [
-                (v_start, s_start, j)
-                for s_start, run in rows.get(v_start, ())
-                for j in range(index.min_window, run + 1)
-            ]
-        return got
-
     frontier: dict = {0: [((), 0, 0, ())]}
     complete: list = []
 
@@ -132,7 +119,7 @@ def _search(index: MatchIndex, n: int, m: int, opts: ChainOptions, full_cover: b
         starts = [v_pos] if full_cover else range(v_pos, n)
         for blocks, v_end, s_end, runs in group:
             for v_start in starts:
-                for b in blocks_at(v_start):
+                for b in table.get(v_start, ()):
                     _, b_s, length = b
                     new_runs = runs
                     if blocks:
@@ -184,10 +171,18 @@ def enumerate_candidates(
     if index.n != n or index.m != m:
         raise StructuralViolationError("match index does not belong to these sequences")
 
-    states = _search(index, n, m, opts, full_cover=True)
+    # The index's hit rows turned once into their blocks, keyed by fragment
+    # start: a row (v_start, s_start, run) gives one block of each size
+    # min_window..run. Both searches read this one table.
+    table: dict = {}
+    for v_start, s_start, run in index.hits.tolist():
+        table.setdefault(v_start, []).extend(
+            (v_start, s_start, j) for j in range(index.min_window, run + 1)
+        )
+    states = _search(table, n, m, opts, full_cover=True)
     full_coverage = bool(states)
     if not states:
-        states = _search(index, n, m, opts, full_cover=False)
+        states = _search(table, n, m, opts, full_cover=False)
         if states:
             covers = [sum(map(_length, blocks)) for blocks, _, _, _ in states]
             best = max(covers)
@@ -227,49 +222,47 @@ def render(chain: CandidateAlignment, s: Sequence, v: Sequence) -> RenderedAlign
     """Render a chain in the dash format: line 1 is the reference verbatim,
     line 2 marks matched positions with '|', line 3 places each fragment
     symbol at its reference position with '-' elsewhere (always length m).
+
+    One walk places the segments in reference order. The unmatched leading
+    span ends where the first block starts; every other unmatched span
+    starts where the block before it ends. A segment must start at or after
+    the column the previous one ended at and end within m: that one check is
+    the room rule for all three kinds of span and the reference bound for
+    blocks. A block must also spell the same symbols in both sequences,
+    which fails too when it runs past the fragment.
     """
-    if not chain.blocks:
+    blocks = chain.blocks
+    if not blocks:
         raise EmptyInputError("cannot render an empty chain")
-    validate_chain(chain, s, v)
     m, n = len(s), len(v)
-    row = ["-"] * m
-    markers = [" "] * m
-    for b in chain.blocks:
-        for i in range(b.length):
-            row[b.s_start + i] = v.residues[b.v_start + i]
-            markers[b.s_start + i] = "|"
-
-    subs = []
-
-    def place(v_from: int, v_to: int, at: int) -> None:
-        span = v_to - v_from
-        for i in range(span):
-            row[at + i] = v.residues[v_from + i]
-            subs.append(at + i)
-
-    first, last = chain.blocks[0], chain.blocks[-1]
-    lead = first.v_start
-    if lead:
-        if first.s_start < lead:
-            raise StructuralViolationError("no room for the unmatched leading span")
-        place(0, lead, first.s_start - lead)
-    prev = first
-    for b in chain.blocks[1:]:
-        skip = b.v_start - prev.v_end
-        if skip:
-            if b.s_start - prev.s_end < skip:
-                raise StructuralViolationError("no room for an unmatched interior span")
-            place(prev.v_end, b.v_start, prev.s_end)
-        prev = b
-    trail = n - last.v_end
-    if trail:
-        if m - last.s_end < trail:
-            raise StructuralViolationError("no room for the unmatched trailing span")
-        place(last.v_end, n, last.s_end)
-
+    # (v_from, v_to, s_from, block), block None for an unmatched span.
+    segments = [(0, blocks[0].v_start, blocks[0].s_start - blocks[0].v_start, None)]
+    for b, v_next in zip(blocks, [b.v_start for b in blocks[1:]] + [n]):
+        segments += ((b.v_start, b.v_end, b.s_start, b), (b.v_end, v_next, b.s_end, None))
+    row, markers, subs = [], [], []
+    column = 0  # reference columns before this one are placed
+    for v_from, v_to, at, block in segments:
+        if v_from == v_to:
+            continue  # an empty span
+        end = at + v_to - v_from
+        if at < column or end > m:
+            what = f"block {block}" if block else f"unmatched fragment span {v_from}..{v_to}"
+            raise StructuralViolationError(
+                f"no room for {what} at reference {at}..{end}: {column}..{m} is free"
+            )
+        placed = v.residues[v_from:v_to]
+        if block is None:
+            markers.append(" " * (end - column))
+            subs.extend(range(at, end))
+        elif placed != s.residues[at:end]:
+            raise StructuralViolationError(f"block {block} does not match the sequences (n={n})")
+        else:
+            markers.append(" " * (at - column) + "|" * block.length)
+        row.append("-" * (at - column) + placed)
+        column = end
     return RenderedAlignment(
         s_line=s.residues,
-        marker_line="".join(markers),
-        v_line="".join(row),
+        marker_line="".join(markers) + " " * (m - column),
+        v_line="".join(row) + "-" * (m - column),
         substitutions=tuple(subs),
     )

@@ -64,9 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_align.add_argument("--swap", action="store_true",
                          help="swap operands so gaps read as insertions")
-    p_align.add_argument("--min-window", type=int, default=1, metavar="K")
-    p_align.add_argument("--max-candidates", type=int, default=1024, metavar="N")
-    p_align.add_argument("--beam", type=int, default=256, metavar="B")
+    p_align.add_argument("--min-window", type=int, default=matcher.MatchOptions.min_window,
+                         metavar="K")
+    p_align.add_argument("--max-candidates", type=int,
+                         default=chainer.ChainOptions.max_candidates, metavar="N")
+    p_align.add_argument("--beam", type=int, default=chainer.ChainOptions.beam_width, metavar="B")
     p_align.add_argument("--partial", action="store_true",
                          help="exit 0 with the best partial coverage instead of exiting 2; "
                               "it does not change the search")
@@ -369,10 +371,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"{ERROR_PREFIX}{exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SeqalignError as exc:
+    except (UsageError, SeqalignError) as exc:
         print(f"{ERROR_PREFIX}{exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -42,10 +42,12 @@ def test_seed_1_reports_match_the_trajectory(tmp_path, name):
         assert total / workload.exact_pairs == pinned[f"matcher.{key}"]
 
 
-@pytest.mark.parametrize("name", ["chain-random", "read-map"])
+@pytest.mark.parametrize("name", ["short-reads", "chain-random", "read-map"])
 def test_traced_loop_checks_every_report(tmp_path, name):
     # The traced loop wraps each layer function and reads counts off its
     # return value; an exception there fails the alignment it happened in.
+    # short-reads has pairs without a full cover, so the fallback search runs
+    # under the wrappers too.
     loop = _seed_1_loop(tmp_path, name)
     run_traced(loop, 0, None)
     assert loop.failed == 0, loop.problems

@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqalign import (
     CandidateAlignment,
@@ -18,6 +19,7 @@ from seqalign import (
     gap_runs,
     render,
     select,
+    validate_chain,
 )
 from seqalign import gapstats
 from seqalign.gapstats import MODES
@@ -232,14 +234,84 @@ def test_render_places_substituted_span():
 
 
 def test_render_rejects_bad_input():
-    s, v = Sequence("s", "ACGT"), Sequence("v", "AC")
-    with pytest.raises(EmptyInputError):
-        render(CandidateAlignment(blocks=()), s, v)
-    with pytest.raises(StructuralViolationError):
-        render(chain_of(((0, 2, 2),)), s, v)  # symbols disagree
-    # No room to place the unmatched leading symbol.
-    with pytest.raises(StructuralViolationError):
-        render(chain_of(((1, 0, 1),)), Sequence("s", "CGT"), Sequence("v", "AC"))
+    # One hand-made chain per fault; the message names the block or span.
+    bad = StructuralViolationError
+    cases = (
+        ("ACGT", "AC", (), EmptyInputError, "empty chain"),
+        ("ACGT", "AC", ((0, 2, 2),), bad, "does not match"),  # symbols disagree
+        ("CGT", "AC", ((1, 0, 1),), bad, "span 0..1"),  # no leading room
+        ("ABQQ", "AXB", ((0, 0, 1), (2, 1, 1)), bad, r"v_start=2.*: 2\.\.4 is free"),  # interior
+        ("QQBA", "AB", ((0, 3, 1),), bad, "span 1..2"),  # no trailing room
+        ("ACG", "AC", ((0, 2, 2),), bad, "no room for block"),  # past m
+        ("ACGT", "AC", ((1, 1, 2),), bad, r"v_start=1.* does not match"),  # past n
+    )
+    for s, v, coords, error, message in cases:
+        with pytest.raises(error, match=message):
+            render(chain_of(coords), Sequence("s", s), Sequence("v", v))
+
+
+def _room_fails(blocks, m, n) -> bool:
+    """The placement rule written out: the unmatched leading span fits before
+    the first block, each interior span within its reference gap, and the
+    trailing span after the last block."""
+    first, last = blocks[0], blocks[-1]
+    if first.s_start < first.v_start:
+        return True
+    for prev, b in zip(blocks, blocks[1:]):
+        if b.s_start - prev.s_end < b.v_start - prev.v_end:
+            return True
+    return m - last.s_end < n - last.v_end
+
+
+@st.composite
+def _ordered_chains(draw):
+    """A small AB pair and an ordered chain on it, valid or not."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(n, 10))
+    steps = st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(1, 3))
+    blocks, v_at, s_at = [], 0, 0
+    for v_skip, s_skip, length in draw(st.lists(steps, min_size=1, max_size=3)):
+        v_at, s_at = v_at + v_skip, s_at + s_skip
+        blocks.append(MatchBlock(v_at, s_at, length))
+        v_at, s_at = v_at + length, s_at + length
+    v = draw(st.text(st.sampled_from("AB"), min_size=n, max_size=n))
+    s = list(draw(st.text(st.sampled_from("AB"), min_size=m, max_size=m)))
+    if draw(st.booleans()):  # copy the blocks' symbols, so most blocks match
+        for b in blocks:
+            for i in range(min(b.length, n - b.v_start, m - b.s_start)):
+                s[b.s_start + i] = v[b.v_start + i]
+    return Sequence("s", "".join(s)), Sequence("v", v), CandidateAlignment(blocks=tuple(blocks))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ordered_chains())
+def test_render_against_the_placement_rule(case):
+    s, v, chain = case
+    m, n = len(s), len(v)
+    try:
+        validate_chain(chain, s, v)
+        invalid = _room_fails(chain.blocks, m, n)
+    except StructuralViolationError:
+        invalid = True
+    if invalid:
+        with pytest.raises(StructuralViolationError):
+            render(chain, s, v)
+        return
+    rendered = render(chain, s, v)
+    assert rendered.s_line == s.residues
+    assert len(rendered.v_line) == len(rendered.marker_line) == m
+    assert rendered.v_line.replace("-", "") == v.residues
+    assert rendered.marker_line.count("|") == chain.coverage
+    matched = {b.s_start + i for b in chain.blocks for i in range(b.length)}
+    assert {c for c, x in enumerate(rendered.marker_line) if x == "|"} == matched
+    unmatched = [c for c, x in enumerate(rendered.v_line) if x != "-" and c not in matched]
+    assert rendered.substitutions == tuple(unmatched)
+    # Unmatched spans sit before the first block and after every block.
+    first, blocks = chain.blocks[0], chain.blocks
+    placed = list(range(first.s_start - first.v_start, first.s_start))
+    for b, v_next in zip(blocks, [b.v_start for b in blocks[1:]] + [n]):
+        placed += range(b.s_end, b.s_end + v_next - b.v_end)
+    assert rendered.substitutions == tuple(placed)
 
 
 def _counting_chain_statistics(monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perfbench import workloads
-from seqalign import baselines, chainer, cli, matcher
+from seqalign import baselines, chainer, cli, matcher, oracle
+from seqalign.core import Sequence
 from seqalign.cli import main
 from conftest import KNOWN_PLACEMENTS, S_DNA, V_DNA
 
@@ -136,6 +137,32 @@ def test_partial_flag_changes_only_the_exit_code(s, v, select, cap, beam):
     code_partial, doc_partial = _align_json(argv, partial=True)
     assert doc_partial == doc
     assert (code, code_partial) == ((0, 0) if doc["full_coverage"] else (2, 0))
+
+
+# A short-reads pair whose full covers the default beam loses (ROADMAP item 1).
+LOST_COVER = ("TCGATTGGGGCATCTAGGAATGAGAACAATTGCGTCAAAAAAAACTGACAGCCGTTCGGG", "ATCCCGTTA")
+
+
+def test_lost_cover_pair_has_24_covers_that_beam_1000_finds():
+    s, v = (Sequence(name, x) for name, x in zip("sv", LOST_COVER))
+    blocks = matcher.enumerate_matches(s, v).blocks()
+    covers = {chain.blocks for chain in oracle.exhaustive_chains(blocks, len(v))}
+    assert (len(blocks), len(covers)) == (154, 24)
+    code, doc = _align_json(("--s", s.residues, "--v", v.residues, "--beam", "1000"), False)
+    assert code == 0 and doc["full_coverage"]
+    assert {tuple(map(tuple, c["blocks"])) for c in doc["candidates"]} == {
+        tuple((b.v_start, b.s_start, b.length) for b in chain) for chain in covers
+    }
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the beam ranks partial chains by total gap alone and drops every full cover; "
+           "ROADMAP item 1 (exact optimum) and item 3 (exact by default) mend it",
+)
+def test_lost_cover_pair_default_run_reports_full_cover():
+    code, doc = _align_json(("--s", LOST_COVER[0], "--v", LOST_COVER[1]), False)
+    assert doc["full_coverage"] and code == 0
 
 
 def test_align_swap_handles_longer_fragment(capsys):

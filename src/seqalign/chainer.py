@@ -16,13 +16,21 @@ exchanging the operands before matching.
 
 enumerate_candidates turns the index's hit rows into one table of plain
 (v_start, s_start, length) tuples once per call, and both searches (full
-cover, then the fallback) read that table. Only the completed chains that
-can still be among the kept max_candidates (the survivors of a cut on the
-leading component of the policy order) are built as CandidateAlignments and
-scored with gapstats.chain_statistics.
+cover, then the fallback) read that table. Before the full-cover search an
+exact test decides whether any chain of the table tiles the fragment: one
+forward pass over fragment positions keeps, per position, the smallest
+reference end of a tiling of the prefix (one-level fragment chaining,
+Abouelhoda & Ohlebusch 2005). Without a tiling the fallback runs at once.
+The beam may still lose a tiling that exists; the fallback then runs too.
 
-render draws any chain in one walk in reference order, checking each block
-and unmatched span as it places it; there is no separate validation pass.
+Only the completed chains that can still be among the kept max_candidates
+(the survivors of a cut on the policy order) are built as
+CandidateAlignments and scored with gapstats.chain_statistics. The kept
+chains share one MatchBlock per distinct block.
+
+render draws any chain in one walk over its blocks in reference order,
+checking each block and unmatched span as it places it; there is no
+separate validation pass and no segment list.
 """
 
 from __future__ import annotations
@@ -146,6 +154,49 @@ def _search(table: dict, n: int, m: int, opts: ChainOptions, full_cover: bool) -
     return complete
 
 
+def _block_table(index: MatchIndex) -> dict:
+    """The index's hit rows as their blocks, keyed by fragment start.
+
+    A row (v_start, s_start, run) gives one (v_start, s_start, length)
+    triple of each length min_window..run.
+    """
+    table: dict = {}
+    for v_start, s_start, run in index.hits.tolist():
+        table.setdefault(v_start, []).extend(
+            (v_start, s_start, j) for j in range(index.min_window, run + 1)
+        )
+    return table
+
+
+def _has_cover(table: dict, n: int) -> bool:
+    """Whether some chain of the table's blocks tiles the whole fragment.
+
+    One forward pass over fragment positions. ends[p] is the smallest
+    reference end of any tiling of V[:p] (-1 for the empty one). A tiling's
+    next block must start strictly after that end, as in the full-cover
+    search, so the smallest end admits every extension that a larger one
+    does. This is one-level fragment chaining (Abouelhoda & Ohlebusch 2005).
+    """
+    unreached = float("inf")
+    ends = [-1] + [unreached] * n
+    for v_start in range(n):
+        end = ends[v_start]
+        if end == unreached:
+            continue
+        for _, b_s, length in table.get(v_start, ()):
+            if b_s > end and b_s + length < ends[v_start + length]:
+                ends[v_start + length] = b_s + length
+    return ends[n] != unreached
+
+
+class _Blocks(dict):
+    """One MatchBlock per (v_start, s_start, length) triple, made when first asked for."""
+
+    def __missing__(self, triple):
+        block = self[triple] = MatchBlock(*triple)
+        return block
+
+
 def enumerate_candidates(
     index: MatchIndex,
     s: Sequence,
@@ -155,15 +206,18 @@ def enumerate_candidates(
 ) -> ChainResult:
     """Enumerate canonical candidate chains, ordered by the selection policy.
 
-    Full-coverage chains are searched for first. When the search finds none,
-    the result carries the partial-coverage chains of maximal coverage and
-    full_coverage=False, so callers can tell the difference from an empty
-    outcome.
+    Full-coverage chains are searched for first, when an exact test says
+    that some chain tiles the fragment. When there is no tiling, or the
+    search finds none, the result carries the partial-coverage chains of
+    maximal coverage and full_coverage=False, so callers can tell the
+    difference from an empty outcome.
 
     Every completion is ranked on the leading component of the policy order
     (gapstats.leading_key), read off the runs its search state carries. Only
     the completions at or below the max_candidates-th smallest leading value
     become chains and are scored; the others cannot be among the kept ones.
+    Under variance_only the rank is the whole order (gapstats.variance_rank,
+    then the blocks), so exactly the kept ones are built.
     """
     opts = opts or ChainOptions()
     policy = policy or SelectionPolicy()
@@ -171,15 +225,9 @@ def enumerate_candidates(
     if index.n != n or index.m != m:
         raise StructuralViolationError("match index does not belong to these sequences")
 
-    # The index's hit rows turned once into their blocks, keyed by fragment
-    # start: a row (v_start, s_start, run) gives one block of each size
-    # min_window..run. Both searches read this one table.
-    table: dict = {}
-    for v_start, s_start, run in index.hits.tolist():
-        table.setdefault(v_start, []).extend(
-            (v_start, s_start, j) for j in range(index.min_window, run + 1)
-        )
-    states = _search(table, n, m, opts, full_cover=True)
+    table = _block_table(index)  # both searches and the cover test read it
+    # Without a tiling the full-cover search can only come back empty.
+    states = _search(table, n, m, opts, full_cover=True) if _has_cover(table, n) else []
     full_coverage = bool(states)
     if not states:
         states = _search(table, n, m, opts, full_cover=False)
@@ -191,15 +239,21 @@ def enumerate_candidates(
 
     k = opts.max_candidates
     truncated = len(states) > k
-    if truncated:
+    if truncated and policy.mode == "variance_only":
+        # (exact variance, mean, blocks) is the whole variance_only order and
+        # it is total, so exactly the k kept chains are built.
+        rank = gapstats.variance_rank(max(len(runs) for _, _, _, runs in states))
+        states = heapq.nsmallest(k, states, key=lambda st: (rank(st[3]), st[0]))
+    elif truncated:
         lead = gapstats.leading_key(policy)
         leads = [lead(runs) for _, _, _, runs in states]
         bound = heapq.nsmallest(k, leads)[-1]
         states = [st for st, x in zip(states, leads) if x <= bound]
 
+    made = _Blocks()  # every kept chain shares its blocks with the others
     entries = []
     for blocks, _, _, _ in states:
-        chain = CandidateAlignment(blocks=tuple(MatchBlock(*b) for b in blocks))
+        chain = CandidateAlignment(blocks=tuple(map(made.__getitem__, blocks)))
         entries.append((chain, gapstats.chain_statistics(chain, m)))
     entries = heapq.nsmallest(k, entries, key=gapstats.sort_key(policy))
     return ChainResult(entries=tuple(entries), truncated=truncated, full_coverage=full_coverage)
@@ -235,31 +289,40 @@ def render(chain: CandidateAlignment, s: Sequence, v: Sequence) -> RenderedAlign
     if not blocks:
         raise EmptyInputError("cannot render an empty chain")
     m, n = len(s), len(v)
-    # (v_from, v_to, s_from, block), block None for an unmatched span.
-    segments = [(0, blocks[0].v_start, blocks[0].s_start - blocks[0].v_start, None)]
-    for b, v_next in zip(blocks, [b.v_start for b in blocks[1:]] + [n]):
-        segments += ((b.v_start, b.v_end, b.s_start, b), (b.v_end, v_next, b.s_end, None))
+    s_res, v_res = s.residues, v.residues
     row, markers, subs = [], [], []
     column = 0  # reference columns before this one are placed
-    for v_from, v_to, at, block in segments:
-        if v_from == v_to:
-            continue  # an empty span
-        end = at + v_to - v_from
-        if at < column or end > m:
-            what = f"block {block}" if block else f"unmatched fragment span {v_from}..{v_to}"
-            raise StructuralViolationError(
-                f"no room for {what} at reference {at}..{end}: {column}..{m} is free"
-            )
-        placed = v.residues[v_from:v_to]
-        if block is None:
+    # The unmatched span v_from..v_to before each block (and after the last
+    # one) goes at reference column `at`.
+    v_from, at = 0, blocks[0].s_start - blocks[0].v_start
+    for block in (*blocks, None):
+        v_to = n if block is None else block.v_start
+        if v_from < v_to:
+            end = at + v_to - v_from
+            if at < column or end > m:
+                raise StructuralViolationError(
+                    f"no room for unmatched fragment span {v_from}..{v_to} "
+                    f"at reference {at}..{end}: {column}..{m} is free"
+                )
             markers.append(" " * (end - column))
             subs.extend(range(at, end))
-        elif placed != s.residues[at:end]:
+            row.append("-" * (at - column) + v_res[v_from:v_to])
+            column = end
+        if block is None:
+            break
+        at, v_from = block.s_start, block.v_start
+        end, v_to = at + block.length, v_from + block.length
+        if at < column or end > m:
+            raise StructuralViolationError(
+                f"no room for block {block} at reference {at}..{end}: {column}..{m} is free"
+            )
+        placed = v_res[v_from:v_to]
+        if placed != s_res[at:end]:
             raise StructuralViolationError(f"block {block} does not match the sequences (n={n})")
-        else:
-            markers.append(" " * (at - column) + "|" * block.length)
+        markers.append(" " * (at - column) + "|" * block.length)
         row.append("-" * (at - column) + placed)
         column = end
+        v_from, at = v_to, end
     return RenderedAlignment(
         s_line=s.residues,
         marker_line="".join(markers) + " " * (m - column),

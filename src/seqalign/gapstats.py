@@ -11,10 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, attrgetter, mul, sub
 
 from .core import CandidateAlignment, EmptyInputError, GapStatistics, StructuralViolationError
 
 MODES = ("mean_then_variance", "variance_only", "mean_only")
+
+_s_start = attrgetter("s_start")
+_length = attrgetter("length")
 
 
 @dataclass(frozen=True)
@@ -36,29 +40,27 @@ class SelectionPolicy:
 
 def gap_runs(chain: CandidateAlignment, m: int) -> tuple:
     """Lengths of the unmatched-S runs between consecutive blocks of the chain."""
-    if not chain.blocks:
+    blocks = chain.blocks
+    if not blocks:
         raise EmptyInputError("cannot compute gap runs of an empty chain")
-    if chain.blocks[-1].s_end > m:
+    if blocks[-1].s_end > m:
         raise StructuralViolationError(f"chain exceeds reference length {m}")
-    runs = []
-    prev_end = chain.blocks[0].s_end
-    for b in chain.blocks[1:]:
-        gap = b.s_start - prev_end
-        if gap > 0:
-            runs.append(gap)
-        prev_end = b.s_end
-    return tuple(runs)
+    # A chain's blocks never overlap in S, so every gap is >= 0 and filter
+    # drops exactly the zero ones (blocks adjacent in S).
+    starts = list(map(_s_start, blocks))
+    ends = map(add, starts, map(_length, blocks))
+    return tuple(filter(None, map(sub, starts[1:], ends)))
 
 
 def statistics(runs) -> GapStatistics:
     """Mean and population variance of the run lengths; (0, 0) when there are none."""
     runs = tuple(runs)
-    if any(r <= 0 for r in runs):
-        raise ValueError("gap runs must be positive")
     if not runs:
         return GapStatistics(runs=(), mean=0.0, variance=0.0)
+    if min(runs) <= 0:
+        raise ValueError("gap runs must be positive")
     mean = math.fsum(runs) / len(runs)
-    variance = math.fsum((r - mean) ** 2 for r in runs) / len(runs)
+    variance = math.fsum([(r - mean) ** 2 for r in runs]) / len(runs)
     return GapStatistics(runs=runs, mean=mean, variance=variance)
 
 
@@ -87,6 +89,27 @@ def _mean(runs) -> float:
 def _exact_variance(runs) -> Fraction:
     k = len(runs)
     return Fraction(k * sum(r * r for r in runs) - sum(runs) ** 2, k * k or 1)
+
+
+def variance_rank(max_runs: int):
+    """variance_only's (exact variance, mean) of gap runs as exact integers.
+
+    k runs of total t and square sum q have variance (k*q - t*t) / k**2 and
+    mean t / k. For k <= max_runs, scaling both by a common denominator
+    (L**2 and L, L = lcm(1..max_runs)) keeps their order without a Fraction
+    per chain. The float mean that sort_key compares orders as the exact
+    one (see sort_key), so the rank orders as sort_key does up to the blocks.
+    """
+    scale = math.lcm(*range(1, max_runs + 1))
+
+    def rank(runs) -> tuple:
+        k = len(runs)
+        if not k:
+            return (0, 0)
+        f, t = scale // k, sum(runs)
+        return ((k * sum(map(mul, runs, runs)) - t * t) * f * f, t * f)
+
+    return rank
 
 
 def sort_key(policy: SelectionPolicy):

@@ -39,12 +39,7 @@ _DROP_WS = str.maketrans("", "", _WS)
 
 
 def _clean_line(raw: str, line_no: int, alphabet: Alphabet) -> str:
-    """Uppercase one sequence line, dropping whitespace; error at the exact column."""
-    # Upper-casing whole ASCII strings maps each symbol to one symbol, as the
-    # scan below does; outside ASCII it may not ("ß" becomes "SS").
-    line = raw.translate(_DROP_WS).upper()
-    if raw.isascii() and alphabet.symbols.issuperset(line):
-        return line
+    """Uppercase one sequence line symbol by symbol, dropping whitespace; error at its column."""
     out = []
     for col, ch in enumerate(raw, start=1):
         if ch in _WS:
@@ -58,6 +53,23 @@ def _clean_line(raw: str, line_no: int, alphabet: Alphabet) -> str:
     return "".join(out)
 
 
+def _clean_body(lines: list, alphabet: Alphabet) -> str:
+    """One record's (line number, raw line) pairs, uppercased and joined without whitespace.
+
+    The whole body is checked at once: one translate drops the whitespace,
+    one upper folds the case, and a second translate, which deletes every
+    symbol of the alphabet, must leave nothing. Upper-casing a whole ASCII
+    string maps each symbol to one symbol, as _clean_line does; outside
+    ASCII it may not ("ß" becomes "SS"). Only a body that fails is scanned
+    line by line, which names the line and column of the first bad symbol.
+    """
+    body = "".join(raw for _, raw in lines)
+    cleaned = body.translate(_DROP_WS).upper()
+    if body.isascii() and not cleaned.translate(dict.fromkeys(map(ord, alphabet.symbols))):
+        return cleaned
+    return "".join(_clean_line(raw, line_no, alphabet) for line_no, raw in lines)
+
+
 def parse_fasta(stream, alphabet: Alphabet = UPPERCASE) -> list:
     """Parse FASTA records into validated sequences.
 
@@ -68,22 +80,22 @@ def parse_fasta(stream, alphabet: Alphabet = UPPERCASE) -> list:
     text = stream if isinstance(stream, str) else stream.read()
     records: list = []
     header: Optional[str] = None
-    parts: list = []
+    body: list = []  # (line number, raw line) of the current record
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith(">"):
             if header is not None:
-                records.append((header, "".join(parts)))
+                records.append((header, _clean_body(body, alphabet)))
             header = line[1:].strip() or f"seq{len(records) + 1}"
-            parts = []
+            body = []
         else:
             if header is None:
                 raise ParseError("sequence data before the first '>' header", line=line_no)
-            parts.append(_clean_line(raw, line_no, alphabet))
+            body.append((line_no, raw))
     if header is not None:
-        records.append((header, "".join(parts)))
+        records.append((header, _clean_body(body, alphabet)))
     if not records:
         raise EmptyInputError("no FASTA records found")
 
@@ -112,11 +124,7 @@ def emit_fasta(seqs, width: int = 60) -> str:
 
 def parse_plain(text: str, id: str = "seq", alphabet: Alphabet = UPPERCASE) -> Sequence:
     """One raw sequence: all whitespace dropped, symbols uppercased and validated."""
-    parts = [
-        _clean_line(raw, line_no, alphabet)
-        for line_no, raw in enumerate(text.splitlines(), start=1)
-    ]
-    residues = "".join(parts)
+    residues = _clean_body(list(enumerate(text.splitlines(), start=1)), alphabet)
     if not residues:
         raise EmptyInputError("no sequence symbols in plain-text input")
     return Sequence(id=id, residues=residues)
@@ -222,13 +230,20 @@ def _candidates_json(report: AlignmentReport) -> str:
     """The candidates array, as it sits at indent 2 in the report document.
 
     Byte for byte what json.dumps(..., indent=2, allow_nan=False) writes,
-    without that call's pure-Python encoder.
+    without that call's pure-Python encoder. The reference line is the same
+    on every candidate, so it is encoded once.
     """
+    s_line = encode_basestring_ascii(report.s.residues)
     out = []
     for chain, stats in report.entries:
         rendered = chainer.render(chain, report.s, report.v)
-        blocks = [_json_array([str(b.v_start), str(b.s_start), str(b.length)], 8) for b in chain.blocks]
-        lines = (rendered.s_line, rendered.marker_line, rendered.v_line)
+        # Each block as _json_array lays out its three coordinates at indent 8.
+        blocks = [
+            f"[\n          {b.v_start},\n          {b.s_start},\n          {b.length}\n        ]"
+            for b in chain.blocks
+        ]
+        lines = (s_line, encode_basestring_ascii(rendered.marker_line),
+                 encode_basestring_ascii(rendered.v_line))
         out.append(
             "{\n"
             f'      "blocks": {_json_array(blocks, 6)},\n'
@@ -236,7 +251,7 @@ def _candidates_json(report: AlignmentReport) -> str:
             f'      "runs": {_json_array([str(r) for r in stats.runs], 6)},\n'
             f'      "mean": {_json_float(stats.mean)},\n'
             f'      "variance": {_json_float(stats.variance)},\n'
-            f'      "rendered": {_json_array([encode_basestring_ascii(x) for x in lines], 6)},\n'
+            f'      "rendered": {_json_array(lines, 6)},\n'
             f'      "substitutions": {_json_array([str(c) for c in rendered.substitutions], 6)}\n'
             "    }"
         )

@@ -21,8 +21,9 @@ from seqalign import (
     select,
     validate_chain,
 )
-from seqalign import gapstats
+from seqalign import chainer, gapstats
 from seqalign.gapstats import MODES
+from seqalign.matcher import MatchOptions
 from seqalign.oracle import canonicalize, exhaustive_chains
 from conftest import KNOWN_PLACEMENTS, S_DNA, V_DNA, chain_of
 
@@ -336,6 +337,18 @@ def test_only_survivors_are_scored(monkeypatch):
     assert len(result.entries) == 1024 and result.truncated
 
 
+def test_variance_cut_scores_only_the_kept_chains(monkeypatch):
+    # Under variance_only 38,221 of the 123,284 completions share a variance
+    # at or below the 1,024th smallest; the cut on the whole order, which is
+    # total, builds and scores exactly the 1,024 kept chains.
+    s, v = Sequence("s", "A" * 100), Sequence("v", "A" * 10)
+    calls = _counting_chain_statistics(monkeypatch)
+    policy = SelectionPolicy(mode="variance_only")
+    result = enumerate_candidates(enumerate_matches(s, v), s, v, policy=policy)
+    assert len(result.entries) == 1024 and result.truncated
+    assert len(calls) <= ChainOptions().max_candidates
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_survivor_cut_equals_scoring_every_completion(monkeypatch, mode):
     # Reference: the same search uncapped, which cuts nothing, scores every
@@ -370,3 +383,42 @@ def test_survivor_cut_equals_scoring_every_completion(monkeypatch, mode):
             break
     assert truncating == 40
     assert fallbacks  # the partial fallback's cut was checked too
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["AB", "ACGT"]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_cover_test_agrees_with_the_oracle(symbols, min_window, seed):
+    # The cover test says a tiling exists exactly when the oracle finds a
+    # full-cover chain among the index's blocks.
+    s, v = _random_pair(random.Random(seed), 14, 7, symbols)
+    index = enumerate_matches(s, v, MatchOptions(min_window=min_window))
+    want = bool(exhaustive_chains(index.blocks(), len(v)))
+    assert chainer._has_cover(chainer._block_table(index), len(v)) == want
+
+
+def _counting_searches(monkeypatch):
+    modes = []
+    real = chainer._search
+
+    def counted(table, n, m, opts, full_cover):
+        modes.append(full_cover)
+        return real(table, n, m, opts, full_cover)
+
+    monkeypatch.setattr(chainer, "_search", counted)
+    return modes
+
+
+def test_no_cover_runs_only_the_fallback_search(monkeypatch, dna_pair):
+    modes = _counting_searches(monkeypatch)
+    s, v = Sequence("s", "AAAAB"), Sequence("v", "ABA")  # no B before a last A
+    result = enumerate_candidates(enumerate_matches(s, v), s, v)
+    assert not result.full_coverage and result.entries
+    assert modes == [False]
+    modes.clear()
+    s, v = dna_pair
+    assert enumerate_candidates(enumerate_matches(s, v), s, v).full_coverage
+    assert modes == [True]

@@ -155,6 +155,15 @@ def test_lost_cover_pair_has_24_covers_that_beam_1000_finds():
     }
 
 
+def test_lost_cover_pair_has_a_cover_the_default_beam_loses():
+    # The cover test finds the tiling, so the full-cover search runs; the
+    # beam then loses every cover and the run falls back to partial.
+    s, v = (Sequence(name, x) for name, x in zip("sv", LOST_COVER))
+    assert chainer._has_cover(chainer._block_table(matcher.enumerate_matches(s, v)), len(v))
+    code, doc = _align_json(("--s", s.residues, "--v", v.residues), False)
+    assert code == 2 and not doc["full_coverage"]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the beam ranks partial chains by total gap alone and drops every full cover; "

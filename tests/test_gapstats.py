@@ -1,4 +1,6 @@
 import itertools
+from fractions import Fraction
+from statistics import pvariance
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +15,7 @@ from seqalign import (
     select,
     statistics,
 )
-from seqalign.gapstats import sort_key
+from seqalign.gapstats import sort_key, variance_rank
 from conftest import KNOWN_PLACEMENTS, KNOWN_STATS, S_DNA, chain_of
 
 
@@ -185,3 +187,12 @@ def test_select_total_and_in_bounds(run_lists):
     for mode in ("mean_then_variance", "variance_only", "mean_only"):
         i = select(entries, SelectionPolicy(mode=mode))
         assert 0 <= i < len(entries)
+
+
+@given(st.lists(st.lists(st.integers(1, 30), max_size=7), min_size=2, max_size=8))
+def test_variance_rank_orders_as_the_exact_variance_then_the_mean(run_lists):
+    rank = variance_rank(max(map(len, run_lists)))
+    for a, b in itertools.combinations(run_lists, 2):
+        exact = [(pvariance(map(Fraction, r or (0,))), statistics(r).mean) for r in (a, b)]
+        assert (rank(a) < rank(b)) == (exact[0] < exact[1])
+        assert (rank(a) == rank(b)) == (exact[0] == exact[1])

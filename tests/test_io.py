@@ -33,7 +33,7 @@ from seqalign import (
 )
 from seqalign.core import UPPERCASE, CandidateAlignment
 from seqalign.gapstats import MODES
-from seqalign.io import _clean_line
+from seqalign.io import _clean_body, _clean_line
 from seqalign.oracle import canonicalize
 from conftest import KNOWN_PLACEMENTS, S_DNA, chain_of
 
@@ -270,6 +270,30 @@ def test_clean_line_agrees_with_symbol_scan(raw, line_no, alphabet):
     assert _outcome(_clean_line, raw, line_no, alphabet) == _outcome(
         _clean_line_by_symbol, raw, line_no, alphabet
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.text(alphabet=st.sampled_from("acgtACGTxX \t\r-ıß"), max_size=12), max_size=6),
+    st.sampled_from([UPPERCASE, DNA]),
+)
+def test_clean_body_agrees_with_the_line_scan(raws, alphabet):
+    # The one-pass body check against _clean_line on each line in turn: the
+    # same residues, or the same error at the same line and column.
+    lines = list(enumerate(raws, start=3))
+    want = _outcome(lambda: "".join(_clean_line(raw, no, alphabet) for no, raw in lines))
+    assert _outcome(_clean_body, lines, alphabet) == want
+
+
+def test_bad_symbol_deep_in_a_long_record_names_its_line_and_column():
+    lines = [">long"] + ["ACGT" * 15] * 130
+    lines[119] = "ACGTACGTACGTAC" + "N" + "GT" * 22  # line 120 of the file
+    with pytest.raises(ParseError) as exc:
+        parse_fasta("\n".join(lines) + "\n", alphabet=DNA)
+    assert (exc.value.line, exc.value.column) == (120, 15)
+    with pytest.raises(ParseError) as exc:
+        parse_plain("\n".join(lines[1:]), alphabet=DNA)
+    assert (exc.value.line, exc.value.column) == (119, 15)
 
 
 def _reference_json(report):

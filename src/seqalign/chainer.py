@@ -14,28 +14,26 @@ in the index and produces the same canonical chain. Each state is extended
 once, so every chain is emitted once. align --swap reads insertions by
 exchanging the operands before matching.
 
-enumerate_candidates turns the index's hit rows into one table of plain
-(v_start, s_start, length) tuples once per call, and both searches (full
-cover, then the fallback) read that table. Before the full-cover search an
-exact test decides whether any chain of the table tiles the fragment: one
-forward pass over fragment positions keeps, per position, the smallest
-reference end of a tiling of the prefix (one-level fragment chaining,
-Abouelhoda & Ohlebusch 2005). Without a tiling the fallback runs at once.
-The beam may still lose a tiling that exists; the fallback then runs too.
+Both searches read one table of the index's blocks, a row per fragment start
+sorted by s_start, and a state's feasible extensions in a row begin at one
+bisect. A state carries its integer gap total and coverage; its gap runs are
+read off its blocks. The beam cuts a group on the totals and computes the
+float variance only for the states that tie on the boundary total. The
+fallback keeps only the completions at the largest coverage seen so far. An
+exact test (one-level fragment chaining, Abouelhoda & Ohlebusch 2005) skips
+the full-cover search when no chain tiles the fragment; the beam may still
+lose a tiling that exists, and the fallback then runs too.
 
 Only the completed chains that can still be among the kept max_candidates
-(the survivors of a cut on the policy order) are built as
-CandidateAlignments and scored with gapstats.chain_statistics. The kept
-chains share one MatchBlock per distinct block.
-
-render draws any chain in one walk over its blocks in reference order,
-checking each block and unmatched span as it places it; there is no
-separate validation pass and no segment list.
+are built as CandidateAlignments, sharing one MatchBlock per distinct block,
+and scored with gapstats.chain_statistics. render draws any chain in one
+walk over its blocks, checking each block and unmatched span as it goes.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -89,102 +87,112 @@ class ChainResult:
         return tuple(chain for chain, _ in self.entries)
 
 
-# A search state is a plain tuple (blocks, v_end, s_end, runs): blocks holds
-# (v_start, s_start, length) triples, which order as MatchBlocks do, and runs
-# the interior gap runs so far.
-_length = itemgetter(2)
+# A search state is a plain tuple (blocks, v_end, s_end, total, cover):
+# blocks holds (v_start, s_start, length) triples, which order as
+# MatchBlocks do, total is the integer sum of the interior gap runs and
+# cover the number of fragment symbols matched. Every run is at least 1, so
+# k blocks have k - 1 runs, and _runs reads them off the blocks when needed.
+_total = itemgetter(3)
+_cover = itemgetter(4)
 
 
-def _beam_key(state):
-    blocks, _, _, runs = state
-    total = sum(runs)
-    if runs:
-        mean = total / len(runs)
-        var = sum((r - mean) ** 2 for r in runs) / len(runs)
-    else:
-        var = 0.0
-    return (total, var, blocks)
+def _runs(blocks) -> list:
+    return [b[1] - a[1] - a[2] for a, b in zip(blocks, blocks[1:])]
 
 
-def _search(table: dict, n: int, m: int, opts: ChainOptions, full_cover: bool) -> list:
+def _tie_rank(state):
+    """The beam's order past the total: float gap variance, then the blocks."""
+    runs = _runs(state[0])
+    mean = state[3] / len(runs) if runs else 0.0
+    return (sum((r - mean) ** 2 for r in runs) / (len(runs) or 1), state[0])
+
+
+def _beam_cut(group: list, width: int) -> list:
+    """The width states of a group smallest by (total, variance, blocks).
+
+    Every state below the width-th smallest total is kept, and only those
+    that tie on it are ranked on the variance, so no other state's is computed.
+    """
+    bound = heapq.nsmallest(width, map(_total, group))[-1]
+    kept = [st for st in group if st[3] < bound]
+    ties = [st for st in group if st[3] == bound]
+    room = width - len(kept)
+    return kept + (heapq.nsmallest(room, ties, key=_tie_rank) if len(ties) > room else ties)
+
+
+def _search(table: list, n: int, m: int, opts: ChainOptions, full_cover: bool) -> list:
     """Frontier search over fragment positions; returns completed states.
 
-    table maps each fragment start to its (v_start, s_start, length)
-    blocks. In full-coverage mode blocks must tile the fragment exactly; in
-    partial mode the next block may skip fragment symbols provided the
-    reference gap has room to hold them (so every emitted chain can be
-    rendered).
+    In full-coverage mode blocks must tile the fragment exactly. In partial
+    mode the next block may skip fragment symbols if the reference gap has
+    room for them (so every emitted chain renders), and only the completions
+    at the largest cover seen so far are kept. A state's extensions in a row
+    are the blocks from s_start = s_end + max(v_start - v_end, 1) on: a strict
+    gap when contiguous in V keeps the chain canonical, and a skipped V span
+    needs room. A first block needs s_start >= v_start, room for the leading
+    span.
     """
-    frontier: dict = {0: [((), 0, 0, ())]}
-    complete: list = []
-
-    for v_pos in range(n):
-        group = frontier.pop(v_pos, None)
-        if not group:
-            continue
+    frontier = [[] for _ in range(n + 1)]  # states by v_end
+    for v_start in (0,) if full_cover else range(n):
+        s_starts, row = table[v_start]
+        for b in row[bisect_left(s_starts, v_start) :]:
+            _, b_s, length = b
+            frontier[v_start + length].append(((b,), v_start + length, b_s + length, 0, length))
+    complete, best = [], 0
+    for v_pos in range(1, n + 1):
+        group, frontier[v_pos] = frontier[v_pos], None
+        if not full_cover:  # complete: the trailing span has room after s_end
+            done = [st for st in group if st[2] <= m - n + v_pos]
+            top = max(map(_cover, done), default=best - 1)
+            if top > best:
+                best, complete = top, []
+            if top == best:
+                complete += [st for st in done if _cover(st) == top]
+        if v_pos == n:
+            return group if full_cover else complete
         if len(group) > opts.beam_width:
-            group = heapq.nsmallest(opts.beam_width, group, key=_beam_key)
-        starts = [v_pos] if full_cover else range(v_pos, n)
-        for blocks, v_end, s_end, runs in group:
-            for v_start in starts:
-                for b in table.get(v_start, ()):
+            group = _beam_cut(group, opts.beam_width)
+        rows = table[v_pos : v_pos + 1] if full_cover else table[v_pos:]
+        for blocks, _, s_end, total, cover in group:
+            base = total - s_end
+            for skip, (s_starts, row) in enumerate(rows):
+                v_start = v_pos + skip
+                for b in row[bisect_left(s_starts, s_end + (skip or 1)) :]:
                     _, b_s, length = b
-                    new_runs = runs
-                    if blocks:
-                        s_gap = b_s - s_end
-                        # Strict gap when contiguous in V keeps the chain
-                        # canonical; a skipped V span needs that much room.
-                        if s_gap < max(v_start - v_end, 1):
-                            continue
-                        new_runs += (s_gap,)
-                    elif b_s < v_start:
-                        continue  # no room to place the leading span
-                    new_v_end, new_s_end = v_start + length, b_s + length
-                    new = (blocks + (b,), new_v_end, new_s_end, new_runs)
-                    if full_cover:
-                        if new_v_end == n:
-                            complete.append(new)
-                        else:
-                            frontier.setdefault(new_v_end, []).append(new)
-                    else:
-                        if m - new_s_end >= n - new_v_end:
-                            complete.append(new)
-                        if new_v_end < n:
-                            frontier.setdefault(new_v_end, []).append(new)
-    return complete
+                    v_end = v_start + length
+                    frontier[v_end].append(
+                        (blocks + (b,), v_end, b_s + length, base + b_s, cover + length)
+                    )
 
 
-def _block_table(index: MatchIndex) -> dict:
-    """The index's hit rows as their blocks, keyed by fragment start.
+def _block_table(index: MatchIndex) -> list:
+    """The index's blocks as one (s_starts, blocks) row per fragment start.
 
-    A row (v_start, s_start, run) gives one (v_start, s_start, length)
-    triple of each length min_window..run.
+    A hit row (v_start, s_start, run) gives a triple of each length
+    min_window..run; hit rows come in (v_start, s_start) order, for bisect.
     """
-    table: dict = {}
+    table = [([], []) for _ in range(index.n)]
     for v_start, s_start, run in index.hits.tolist():
-        table.setdefault(v_start, []).extend(
-            (v_start, s_start, j) for j in range(index.min_window, run + 1)
-        )
+        s_starts, row = table[v_start]
+        sizes = range(index.min_window, run + 1)
+        s_starts += [s_start] * len(sizes)
+        row += [(v_start, s_start, j) for j in sizes]
     return table
 
 
-def _has_cover(table: dict, n: int) -> bool:
+def _has_cover(table: list, n: int) -> bool:
     """Whether some chain of the table's blocks tiles the whole fragment.
 
-    One forward pass over fragment positions. ends[p] is the smallest
-    reference end of any tiling of V[:p] (-1 for the empty one). A tiling's
-    next block must start strictly after that end, as in the full-cover
-    search, so the smallest end admits every extension that a larger one
-    does. This is one-level fragment chaining (Abouelhoda & Ohlebusch 2005).
+    One forward pass: ends[p] is the smallest reference end of a tiling of
+    V[:p] (-1 for the empty one). A next block must start strictly after it,
+    as in the full-cover search, so the smallest end admits every extension
+    that a larger one does (one-level fragment chaining).
     """
     unreached = float("inf")
     ends = [-1] + [unreached] * n
-    for v_start in range(n):
-        end = ends[v_start]
-        if end == unreached:
-            continue
-        for _, b_s, length in table.get(v_start, ()):
-            if b_s > end and b_s + length < ends[v_start + length]:
+    for v_start, (s_starts, row) in enumerate(table):  # none start after inf
+        for _, b_s, length in row[bisect_right(s_starts, ends[v_start]) :]:
+            if b_s + length < ends[v_start + length]:
                 ends[v_start + length] = b_s + length
     return ends[n] != unreached
 
@@ -206,18 +214,14 @@ def enumerate_candidates(
 ) -> ChainResult:
     """Enumerate canonical candidate chains, ordered by the selection policy.
 
-    Full-coverage chains are searched for first, when an exact test says
-    that some chain tiles the fragment. When there is no tiling, or the
-    search finds none, the result carries the partial-coverage chains of
-    maximal coverage and full_coverage=False, so callers can tell the
-    difference from an empty outcome.
+    Full-coverage chains come first; without any, the result carries the
+    partial-coverage chains of maximal coverage and full_coverage=False, so
+    callers can tell the difference from an empty outcome.
 
-    Every completion is ranked on the leading component of the policy order
-    (gapstats.leading_key), read off the runs its search state carries. Only
-    the completions at or below the max_candidates-th smallest leading value
-    become chains and are scored; the others cannot be among the kept ones.
-    Under variance_only the rank is the whole order (gapstats.variance_rank,
-    then the blocks), so exactly the kept ones are built.
+    Only the completions at or below the max_candidates-th smallest leading
+    value of the policy order (gapstats.leading_key, read off a state's total)
+    are built and scored. Under variance_only the rank is the whole order
+    (gapstats.variance_rank, then the blocks), so exactly the kept ones are.
     """
     opts = opts or ChainOptions()
     policy = policy or SelectionPolicy()
@@ -226,33 +230,27 @@ def enumerate_candidates(
         raise StructuralViolationError("match index does not belong to these sequences")
 
     table = _block_table(index)  # both searches and the cover test read it
-    # Without a tiling the full-cover search can only come back empty.
     states = _search(table, n, m, opts, full_cover=True) if _has_cover(table, n) else []
     full_coverage = bool(states)
     if not states:
         states = _search(table, n, m, opts, full_cover=False)
-        if states:
-            covers = [sum(map(_length, blocks)) for blocks, _, _, _ in states]
-            best = max(covers)
-            states = [st for st, cover in zip(states, covers) if cover == best]
-            full_coverage = best == n
+        full_coverage = bool(states) and _cover(states[0]) == n
 
     k = opts.max_candidates
     truncated = len(states) > k
     if truncated and policy.mode == "variance_only":
-        # (exact variance, mean, blocks) is the whole variance_only order and
-        # it is total, so exactly the k kept chains are built.
-        rank = gapstats.variance_rank(max(len(runs) for _, _, _, runs in states))
-        states = heapq.nsmallest(k, states, key=lambda st: (rank(st[3]), st[0]))
+        # (exact variance, mean, blocks) is the whole, total variance_only order.
+        rank = gapstats.variance_rank(max(len(st[0]) for st in states) - 1)
+        states = heapq.nsmallest(k, states, key=lambda st: (rank(_runs(st[0])), st[0]))
     elif truncated:
-        lead = gapstats.leading_key(policy)
-        leads = [lead(runs) for _, _, _, runs in states]
+        # The mean, total / (number of runs): gapstats.leading_key's value.
+        leads = [t / (len(b) - 1) if len(b) > 1 else 0.0 for b, _, _, t, _ in states]
         bound = heapq.nsmallest(k, leads)[-1]
         states = [st for st, x in zip(states, leads) if x <= bound]
 
     made = _Blocks()  # every kept chain shares its blocks with the others
     entries = []
-    for blocks, _, _, _ in states:
+    for blocks, *_ in states:
         chain = CandidateAlignment(blocks=tuple(map(made.__getitem__, blocks)))
         entries.append((chain, gapstats.chain_statistics(chain, m)))
     entries = heapq.nsmallest(k, entries, key=gapstats.sort_key(policy))

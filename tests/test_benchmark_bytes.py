@@ -2,11 +2,10 @@
 
 `perfbench/trajectory.json` pins, per workload and seed, the SHA-256 of the
 reports of the first `exact_pairs` alignments and the mean exact counters
-over them. This recomputes seed 1 of three workloads through the benchmark's
-own closed loop, so a change to any report byte fails here and not only in a
-benchmark run. `homopolymer` (seconds per pair) is left to the benchmark and
-to the truncated goldens in test_golden.py. The traced loop, which the
-benchmark's per-layer run uses, is run on seed 1 as well.
+over them. This recomputes seed 1 of all four workloads through the
+benchmark's own closed loop, so a change to any report byte fails here and
+not only in a benchmark run. The traced loop, which the benchmark's
+per-layer run uses, is run on seed 1 of three of them.
 """
 
 import json
@@ -29,7 +28,7 @@ def _seed_1_loop(tmp_path, name):
     return Loop(workload, workloads.input_paths(workload, warmup, tmp_path)[:-1])
 
 
-@pytest.mark.parametrize("name", ["short-reads", "chain-random", "read-map"])
+@pytest.mark.parametrize("name", ["short-reads", "chain-random", "read-map", "homopolymer"])
 def test_seed_1_reports_match_the_trajectory(tmp_path, name):
     loop = _seed_1_loop(tmp_path, name)
     workload = loop.workload

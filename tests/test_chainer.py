@@ -422,3 +422,126 @@ def test_no_cover_runs_only_the_fallback_search(monkeypatch, dna_pair):
     s, v = dna_pair
     assert enumerate_candidates(enumerate_matches(s, v), s, v).full_coverage
     assert modes == [True]
+
+
+def _old_beam_key(state):
+    """The beam key the cut replaced, on (blocks, runs) pairs."""
+    blocks, runs = state
+    total = sum(runs)
+    if runs:
+        mean = total / len(runs)
+        var = sum((r - mean) ** 2 for r in runs) / len(runs)
+    else:
+        var = 0.0
+    return (total, var, blocks)
+
+
+@st.composite
+def _tied_groups(draw):
+    """States whose totals tie often: short run lists of small runs, so equal
+    totals come with different run lists and equal run lists with different
+    blocks. Each is paired with its runs for the old key."""
+    run_lists = st.lists(st.integers(1, 3), max_size=3)
+    group, seen = [], set()
+    for runs, first, lengths in draw(
+        st.lists(st.tuples(run_lists, st.integers(0, 2), st.lists(st.integers(1, 2), min_size=4)),
+                 min_size=1, max_size=30)
+    ):
+        blocks, v_at, s_at = [], 0, first
+        for run, length in zip((0, *runs), lengths):
+            s_at += run
+            blocks.append((v_at, s_at, length))
+            v_at, s_at = v_at + length, s_at + length
+        blocks = tuple(blocks)
+        if blocks not in seen:  # a group never holds one chain twice
+            seen.add(blocks)
+            state = (blocks, v_at, s_at, sum(runs), v_at)
+            group.append((state, tuple(runs)))
+    return group
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_groups())
+def test_beam_cut_keeps_the_old_keys_set(group):
+    states = [state for state, _ in group]
+    assert all(chainer._runs(state[0]) == list(runs) for state, runs in group)
+    old = [(state[0], runs) for state, runs in group]
+    for width in range(1, len(group) + 1):
+        want = {blocks for blocks, _ in heapq.nsmallest(width, old, key=_old_beam_key)}
+        assert {state[0] for state in chainer._beam_cut(states, width)} == want
+
+
+def _parent_search(table, n, m, opts, full_cover):
+    """The search as it was before states carried integer totals: states
+    (blocks, v_end, s_end, runs) over a dict of block lists, every block of
+    a row tried, every state ranked by (sum of runs, float variance, blocks).
+    Kept here as the reference for chainer._search."""
+    frontier = {0: [((), 0, 0, ())]}
+    complete = []
+
+    def beam_key(state):
+        return _old_beam_key((state[0], state[3]))
+
+    for v_pos in range(n):
+        group = frontier.pop(v_pos, None)
+        if not group:
+            continue
+        if len(group) > opts.beam_width:
+            group = heapq.nsmallest(opts.beam_width, group, key=beam_key)
+        starts = [v_pos] if full_cover else range(v_pos, n)
+        for blocks, v_end, s_end, runs in group:
+            for v_start in starts:
+                for b in table.get(v_start, ()):
+                    _, b_s, length = b
+                    new_runs = runs
+                    if blocks:
+                        s_gap = b_s - s_end
+                        if s_gap < max(v_start - v_end, 1):
+                            continue
+                        new_runs += (s_gap,)
+                    elif b_s < v_start:
+                        continue
+                    new_v_end, new_s_end = v_start + length, b_s + length
+                    new = (blocks + (b,), new_v_end, new_s_end, new_runs)
+                    if full_cover:
+                        if new_v_end == n:
+                            complete.append(new)
+                        else:
+                            frontier.setdefault(new_v_end, []).append(new)
+                    else:
+                        if m - new_s_end >= n - new_v_end:
+                            complete.append(new)
+                        if new_v_end < n:
+                            frontier.setdefault(new_v_end, []).append(new)
+    return complete
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["AB", "ACGT"]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_search_equals_the_parent_search(symbols, min_window, seed):
+    # The same completions at every beam, in both modes; for the fallback,
+    # the parent's completions at their maximal coverage. Each state's total
+    # and cover are its runs' sum and its blocks' lengths.
+    s, v = _random_pair(random.Random(seed), 16, 7, symbols)
+    index = enumerate_matches(s, v, MatchOptions(min_window=min_window))
+    m, n = len(s), len(v)
+    old_table = {}
+    for b in index.blocks():
+        old_table.setdefault(b.v_start, []).append((b.v_start, b.s_start, b.length))
+    table = chainer._block_table(index)
+    for width in (1, 2, 3, 8):
+        opts = ChainOptions(beam_width=width)
+        for full_cover in (True, False):
+            old = [
+                (blocks, v_end, s_end, sum(runs), sum(b[2] for b in blocks))
+                for blocks, v_end, s_end, runs in _parent_search(old_table, n, m, opts, full_cover)
+            ]
+            if old and not full_cover:
+                best = max(state[4] for state in old)
+                old = [state for state in old if state[4] == best]
+            new = chainer._search(table, n, m, opts, full_cover)
+            assert sorted(new) == sorted(old), (s.residues, v.residues, width, full_cover)

@@ -378,12 +378,12 @@ def test_verify_reports_counterexample_for_bad_build(capsys, monkeypatch):
             truncated=len(full.entries) > opts.max_candidates,
         )
 
-    # Then a fallback that counts every chain's coverage as 0, so it keeps
-    # the partial chains of every coverage, not only of the best: the
+    # Then a fallback that reads every search state's coverage as 0, so it
+    # keeps the partial chains of every coverage, not only of the best: the
     # chainer suite checks no-cover pairs against the oracle's fallback.
     for target, name, bad in (
         (chainer, "enumerate_candidates", keeps_worst),
-        (chainer, "_length", lambda block: 0),
+        (chainer, "_cover", lambda state: 0),
     ):
         monkeypatch.undo()
         monkeypatch.setattr(target, name, bad)

@@ -17,17 +17,18 @@ exchanging the operands before matching.
 Both searches read one table of the index's blocks, a row per fragment start
 sorted by s_start, and a state's feasible extensions in a row begin at one
 bisect. A state carries its integer gap total and coverage; its gap runs are
-read off its blocks. The beam cuts a group on the totals and computes the
-float variance only for the states that tie on the boundary total. The
-fallback keeps only the completions at the largest coverage seen so far. An
-exact test (one-level fragment chaining, Abouelhoda & Ohlebusch 2005) skips
-the full-cover search when no chain tiles the fragment; the beam may still
-lose a tiling that exists, and the fallback then runs too.
+read off its blocks. The fallback keeps only the completions at the largest
+coverage seen so far. An exact test (one-level fragment chaining, Abouelhoda
+& Ohlebusch 2005) skips the full-cover search when no chain tiles the
+fragment; the beam may still lose a tiling that exists, and the fallback then
+runs too.
 
-Only the completed chains that can still be among the kept max_candidates
-are built as CandidateAlignments, sharing one MatchBlock per distinct block,
-and scored with gapstats.chain_statistics. render draws any chain in one
-walk over its blocks, checking each block and unmatched span as it goes.
+One cut keeps every item below the k-th smallest lead and ranks only the
+items tied on it: the beam leads on the gap total, the kept candidates on the
+policy's first component. So exactly the kept max_candidates completions are
+built as CandidateAlignments, sharing one MatchBlock per distinct block, and
+scored with gapstats.chain_statistics. render draws any chain in one walk
+over its blocks, checking each block and unmatched span as it goes.
 """
 
 from __future__ import annotations
@@ -87,13 +88,13 @@ class ChainResult:
         return tuple(chain for chain, _ in self.entries)
 
 
-# A search state is a plain tuple (blocks, v_end, s_end, total, cover):
-# blocks holds (v_start, s_start, length) triples, which order as
-# MatchBlocks do, total is the integer sum of the interior gap runs and
-# cover the number of fragment symbols matched. Every run is at least 1, so
-# k blocks have k - 1 runs, and _runs reads them off the blocks when needed.
-_total = itemgetter(3)
-_cover = itemgetter(4)
+# A search state is a plain tuple (blocks, s_end, total, cover): blocks
+# holds (v_start, s_start, length) triples, which order as MatchBlocks do,
+# total is the integer sum of the interior gap runs and cover the number of
+# fragment symbols matched. Every run is at least 1, so k blocks have k - 1
+# runs, and _runs reads them off the blocks when needed.
+_total = itemgetter(2)
+_cover = itemgetter(3)
 
 
 def _runs(blocks) -> list:
@@ -103,21 +104,24 @@ def _runs(blocks) -> list:
 def _tie_rank(state):
     """The beam's order past the total: float gap variance, then the blocks."""
     runs = _runs(state[0])
-    mean = state[3] / len(runs) if runs else 0.0
+    mean = state[2] / len(runs) if runs else 0.0
     return (sum((r - mean) ** 2 for r in runs) / (len(runs) or 1), state[0])
 
 
-def _beam_cut(group: list, width: int) -> list:
-    """The width states of a group smallest by (total, variance, blocks).
+def _cut(items: list, k: int, lead, rank) -> list:
+    """The k items smallest by (lead(item), rank(item)), in no set order.
 
-    Every state below the width-th smallest total is kept, and only those
-    that tie on it are ranked on the variance, so no other state's is computed.
+    Every item below the k-th smallest lead is kept, and only those that tie
+    on it are ranked, so no other item's rank is computed.
     """
-    bound = heapq.nsmallest(width, map(_total, group))[-1]
-    kept = [st for st in group if st[3] < bound]
-    ties = [st for st in group if st[3] == bound]
-    room = width - len(kept)
-    return kept + (heapq.nsmallest(room, ties, key=_tie_rank) if len(ties) > room else ties)
+    leads = list(map(lead, items))
+    bound = heapq.nsmallest(k, leads)[-1]
+    near = [item for item, x in zip(items, leads) if x <= bound]
+    if len(near) <= k:
+        return near
+    kept = [item for item in near if lead(item) < bound]
+    ties = [item for item in near if lead(item) == bound]
+    return kept + heapq.nsmallest(k - len(kept), ties, key=rank)
 
 
 def _search(table: list, n: int, m: int, opts: ChainOptions, full_cover: bool) -> list:
@@ -137,12 +141,12 @@ def _search(table: list, n: int, m: int, opts: ChainOptions, full_cover: bool) -
         s_starts, row = table[v_start]
         for b in row[bisect_left(s_starts, v_start) :]:
             _, b_s, length = b
-            frontier[v_start + length].append(((b,), v_start + length, b_s + length, 0, length))
+            frontier[v_start + length].append(((b,), b_s + length, 0, length))
     complete, best = [], 0
     for v_pos in range(1, n + 1):
         group, frontier[v_pos] = frontier[v_pos], None
         if not full_cover:  # complete: the trailing span has room after s_end
-            done = [st for st in group if st[2] <= m - n + v_pos]
+            done = [st for st in group if st[1] <= m - n + v_pos]
             top = max(map(_cover, done), default=best - 1)
             if top > best:
                 best, complete = top, []
@@ -151,17 +155,16 @@ def _search(table: list, n: int, m: int, opts: ChainOptions, full_cover: bool) -
         if v_pos == n:
             return group if full_cover else complete
         if len(group) > opts.beam_width:
-            group = _beam_cut(group, opts.beam_width)
+            group = _cut(group, opts.beam_width, _total, _tie_rank)
         rows = table[v_pos : v_pos + 1] if full_cover else table[v_pos:]
-        for blocks, _, s_end, total, cover in group:
+        for blocks, s_end, total, cover in group:
             base = total - s_end
             for skip, (s_starts, row) in enumerate(rows):
                 v_start = v_pos + skip
                 for b in row[bisect_left(s_starts, s_end + (skip or 1)) :]:
                     _, b_s, length = b
-                    v_end = v_start + length
-                    frontier[v_end].append(
-                        (blocks + (b,), v_end, b_s + length, base + b_s, cover + length)
+                    frontier[v_start + length].append(
+                        (blocks + (b,), b_s + length, base + b_s, cover + length)
                     )
 
 
@@ -197,14 +200,6 @@ def _has_cover(table: list, n: int) -> bool:
     return ends[n] != unreached
 
 
-class _Blocks(dict):
-    """One MatchBlock per (v_start, s_start, length) triple, made when first asked for."""
-
-    def __missing__(self, triple):
-        block = self[triple] = MatchBlock(*triple)
-        return block
-
-
 def enumerate_candidates(
     index: MatchIndex,
     s: Sequence,
@@ -218,10 +213,10 @@ def enumerate_candidates(
     partial-coverage chains of maximal coverage and full_coverage=False, so
     callers can tell the difference from an empty outcome.
 
-    Only the completions at or below the max_candidates-th smallest leading
-    value of the policy order (gapstats.leading_key, read off a state's total)
-    are built and scored. Under variance_only the rank is the whole order
-    (gapstats.variance_rank, then the blocks), so exactly the kept ones are.
+    Only the kept completions are built and scored. The cut leads on the
+    mean, read off a state's total, and ranks the chains tied on the boundary
+    mean by gapstats.policy_key, then the blocks; under variance_only it
+    leads on the whole order (gapstats.variance_rank, then the blocks).
     """
     opts = opts or ChainOptions()
     policy = policy or SelectionPolicy()
@@ -238,22 +233,23 @@ def enumerate_candidates(
 
     k = opts.max_candidates
     truncated = len(states) > k
-    if truncated and policy.mode == "variance_only":
-        # (exact variance, mean, blocks) is the whole, total variance_only order.
-        rank = gapstats.variance_rank(max(len(st[0]) for st in states) - 1)
-        states = heapq.nsmallest(k, states, key=lambda st: (rank(_runs(st[0])), st[0]))
-    elif truncated:
-        # The mean, total / (number of runs): gapstats.leading_key's value.
-        leads = [t / (len(b) - 1) if len(b) > 1 else 0.0 for b, _, _, t, _ in states]
-        bound = heapq.nsmallest(k, leads)[-1]
-        states = [st for st, x in zip(states, leads) if x <= bound]
+    if truncated:
+        key = gapstats.policy_key(policy)
+        if policy.mode == "variance_only":  # a total order: nothing ties
+            vrank = gapstats.variance_rank(max(len(st[0]) for st in states) - 1)
+            lead = lambda st: (vrank(_runs(st[0])), st[0])
+        else:  # the mean, bit for bit as statistics() computes it on integer runs
+            lead = lambda st: st[2] / (len(st[0]) - 1) if len(st[0]) > 1 else 0.0
+        states = _cut(states, k, lead, lambda st: (key(gapstats.statistics(_runs(st[0]))), st[0]))
+        states.sort(key=lead)  # then the closing sort compares few costly keys (Fractions)
 
-    made = _Blocks()  # every kept chain shares its blocks with the others
+    distinct = {triple for blocks, *_ in states for triple in blocks}
+    made = {triple: MatchBlock(*triple) for triple in distinct}  # shared by the kept chains
     entries = []
     for blocks, *_ in states:
         chain = CandidateAlignment(blocks=tuple(map(made.__getitem__, blocks)))
         entries.append((chain, gapstats.chain_statistics(chain, m)))
-    entries = heapq.nsmallest(k, entries, key=gapstats.sort_key(policy))
+    entries.sort(key=gapstats.sort_key(policy))
     return ChainResult(entries=tuple(entries), truncated=truncated, full_coverage=full_coverage)
 
 

@@ -241,11 +241,13 @@ def _verify_chainer(rng, cases, max_m, max_n):
         n = rng.randint(1, min(m, max_n))
         s, v = bench.random_sequence(rng, m, "AB", "s"), bench.random_sequence(rng, n, "AB", "v")
         index = matcher.enumerate_matches(s, v)
-        result = chainer.enumerate_candidates(index, s, v, uncapped)
+        # The oracles refuse more than their block limit at once; the
+        # uncapped search has no such bound, so it runs only after them.
         exhaustive = oracle.exhaustive_chains(index.blocks(), n)
         full_cover = bool(exhaustive)
         if not full_cover:  # the fallback: every chain of maximal coverage
             exhaustive = oracle.exhaustive_partial_chains(index.blocks(), m, n)
+        result = chainer.enumerate_candidates(index, s, v, uncapped)
         got = {chain.blocks for chain in result.chains}
         want = {chain.blocks for chain in exhaustive}
         if got != want or result.full_coverage != full_cover:

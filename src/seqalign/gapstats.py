@@ -68,24 +68,6 @@ def chain_statistics(chain: CandidateAlignment, m: int) -> GapStatistics:
     return statistics(gap_runs(chain, m))
 
 
-def leading_key(policy: SelectionPolicy):
-    """The first component of sort_key(policy), as a function of the gap runs.
-
-    The mean modes lead on the mean, sum(runs) / k, which equals
-    statistics(runs).mean bit for bit on integer runs; variance_only leads
-    on the exact variance. A chain whose leading value lies above the k-th
-    smallest one among its rivals is outside their first k under sort_key,
-    so the chainer scores only the chains at or below it.
-    """
-    if policy.mode == "variance_only":
-        return _exact_variance
-    return _mean
-
-
-def _mean(runs) -> float:
-    return sum(runs) / len(runs) if runs else 0.0
-
-
 def _exact_variance(runs) -> Fraction:
     k = len(runs)
     return Fraction(k * sum(r * r for r in runs) - sum(runs) ** 2, k * k or 1)
@@ -97,8 +79,8 @@ def variance_rank(max_runs: int):
     k runs of total t and square sum q have variance (k*q - t*t) / k**2 and
     mean t / k. For k <= max_runs, scaling both by a common denominator
     (L**2 and L, L = lcm(1..max_runs)) keeps their order without a Fraction
-    per chain. The float mean that sort_key compares orders as the exact
-    one (see sort_key), so the rank orders as sort_key does up to the blocks.
+    per chain. The float mean that policy_key compares orders as the exact
+    one (see sort_key), so the rank orders as policy_key does.
     """
     scale = math.lcm(*range(1, max_runs + 1))
 
@@ -112,25 +94,30 @@ def variance_rank(max_runs: int):
     return rank
 
 
-def sort_key(policy: SelectionPolicy):
-    """Ordering key for (chain, stats) entries: the one policy order.
+def policy_key(policy: SelectionPolicy):
+    """The policy order over a GapStatistics, its one definition.
 
-    It leads on leading_key(policy). Float means order exactly, as distinct
-    means t/k with k <= n lie 1/n^2 apart. variance_only compares the
-    variance exactly, mean_then_variance as a float.
+    mean_then_variance: (mean, variance); variance_only: (exact variance,
+    mean); mean_only: (mean,). The mean comes first in the mean modes and
+    equals sum(runs) / k bit for bit on integer runs, so the chainer can cut
+    on it before any chain is scored.
     """
-    mode = policy.mode
-    lead = leading_key(policy)
+    if policy.mode == "variance_only":
+        return lambda stats: (_exact_variance(stats.runs), stats.mean)
+    if policy.mode == "mean_only":
+        return lambda stats: (stats.mean,)
+    return lambda stats: (stats.mean, stats.variance)
 
-    def key(entry):
-        chain, stats = entry
-        if mode == "variance_only":
-            return (lead(stats.runs), stats.mean, chain.blocks)
-        if mode == "mean_only":
-            return (lead(stats.runs), chain.blocks)
-        return (lead(stats.runs), stats.variance, chain.blocks)
 
-    return key
+def sort_key(policy: SelectionPolicy):
+    """Ordering key for (chain, stats) entries: policy_key, then the blocks.
+
+    Float means order exactly, as distinct means t/k with k <= n lie 1/n^2
+    apart. variance_only compares the variance exactly, mean_then_variance
+    as a float.
+    """
+    key = policy_key(policy)
+    return lambda entry: (*key(entry[1]), entry[0].blocks)
 
 
 def select(candidates, policy: SelectionPolicy | None = None) -> int:

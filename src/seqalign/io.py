@@ -344,43 +344,53 @@ def _emit_text(report: AlignmentReport) -> str:
 
 
 def report_from_json(text: str) -> AlignmentReport:
-    """Rebuild an AlignmentReport from its JSON form (schema version 1)."""
-    doc = json.loads(text)
-    version = doc.get("schema_version")
+    """Rebuild an AlignmentReport from its JSON form (schema version 1).
+
+    The text comes from outside the program: a document that is not JSON,
+    or not schema v1 in any field, ends in ParseError.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"report is not JSON: {exc}") from exc
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported report schema_version {version!r}")
-    entries = []
-    for cand in doc["candidates"]:
-        chain = CandidateAlignment(blocks=tuple(MatchBlock(*b) for b in cand["blocks"]))
-        stats = GapStatistics(
-            runs=tuple(cand["runs"]), mean=cand["mean"], variance=cand["variance"]
+    try:
+        entries = []
+        for cand in doc["candidates"]:
+            chain = CandidateAlignment(blocks=tuple(MatchBlock(*b) for b in cand["blocks"]))
+            stats = GapStatistics(
+                runs=tuple(cand["runs"]), mean=cand["mean"], variance=cand["variance"]
+            )
+            entries.append((chain, stats))
+        scored = None
+        if doc["scored"] is not None:
+            sc = doc["scored"]
+            scored = ScoredAlignment(
+                aligned_s=sc["aligned_s"],
+                aligned_v=sc["aligned_v"],
+                score=sc["score"],
+                match_mask=tuple(sc["match_mask"]),
+            )
+        counters = doc["counters"]
+        return AlignmentReport(
+            algorithm=doc["algorithm"],
+            s=Sequence(**doc["s"]),
+            v=Sequence(**doc["v"]),
+            entries=tuple(entries),
+            scored=scored,
+            selected=doc["selected"],
+            policy=doc["policy"],
+            counters=ComparisonCounters(
+                substring_comparisons=counters["substring_comparisons"],
+                char_comparisons=counters["char_comparisons"],
+                claimed_comparisons=counters["claimed_comparisons"],
+            ),
+            swapped=doc["swapped"],
+            full_coverage=doc["full_coverage"],
+            truncated=doc["truncated"],
+            options=doc["options"],
         )
-        entries.append((chain, stats))
-    scored = None
-    if doc["scored"] is not None:
-        sc = doc["scored"]
-        scored = ScoredAlignment(
-            aligned_s=sc["aligned_s"],
-            aligned_v=sc["aligned_v"],
-            score=sc["score"],
-            match_mask=tuple(sc["match_mask"]),
-        )
-    counters = doc["counters"]
-    return AlignmentReport(
-        algorithm=doc["algorithm"],
-        s=Sequence(**doc["s"]),
-        v=Sequence(**doc["v"]),
-        entries=tuple(entries),
-        scored=scored,
-        selected=doc["selected"],
-        policy=doc["policy"],
-        counters=ComparisonCounters(
-            substring_comparisons=counters["substring_comparisons"],
-            char_comparisons=counters["char_comparisons"],
-            claimed_comparisons=counters["claimed_comparisons"],
-        ),
-        swapped=doc["swapped"],
-        full_coverage=doc["full_coverage"],
-        truncated=doc["truncated"],
-        options=doc["options"],
-    )
+    except (SeqalignError, KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ParseError(f"malformed schema-v1 report: {type(exc).__name__}: {exc}") from exc

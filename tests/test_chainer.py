@@ -329,11 +329,12 @@ def _counting_chain_statistics(monkeypatch):
 
 def test_only_survivors_are_scored(monkeypatch):
     # 123,284 chains complete; under the mean they tie in large classes, and
-    # only those at or below the 1,024th smallest mean are scored.
+    # 2,117 lie at or below the 1,024th smallest mean. Only the tie class on
+    # that mean is ranked, so exactly the 1,024 kept chains are scored.
     s, v = Sequence("s", "A" * 100), Sequence("v", "A" * 10)
     calls = _counting_chain_statistics(monkeypatch)
     result = enumerate_candidates(enumerate_matches(s, v), s, v)
-    assert len(calls) < 5000
+    assert len(calls) == 1024
     assert len(result.entries) == 1024 and result.truncated
 
 
@@ -376,7 +377,7 @@ def test_survivor_cut_equals_scoring_every_completion(monkeypatch, mode):
         assert got.entries == tuple(want), (mode, s.residues, v.residues, opts)
         assert got.truncated == (len(every.entries) > k)
         assert got.full_coverage == every.full_coverage
-        assert scored <= len(calls)
+        assert scored == len(got.entries) <= len(calls)
         truncating += got.truncated
         fallbacks += not got.full_coverage
         if truncating == 40:
@@ -455,20 +456,48 @@ def _tied_groups(draw):
         blocks = tuple(blocks)
         if blocks not in seen:  # a group never holds one chain twice
             seen.add(blocks)
-            state = (blocks, v_at, s_at, sum(runs), v_at)
+            state = (blocks, s_at, sum(runs), v_at)
             group.append((state, tuple(runs)))
     return group
 
 
+def _kept_cut_keys(mode, states):
+    """enumerate_candidates' (lead, rank) for the kept-candidate cut, written
+    out: the mean off the state's total, or variance_only's whole order; then
+    policy_key of the scored runs and the blocks."""
+    key = gapstats.policy_key(SelectionPolicy(mode=mode))
+    if mode == "variance_only":
+        vrank = gapstats.variance_rank(max(len(state[0]) for state in states) - 1)
+        lead = lambda state: (vrank(chainer._runs(state[0])), state[0])
+    else:
+        lead = lambda state: state[2] / (len(state[0]) - 1) if len(state[0]) > 1 else 0.0
+    return lead, lambda state: (key(gapstats.statistics(chainer._runs(state[0]))), state[0])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tied_groups())
-def test_beam_cut_keeps_the_old_keys_set(group):
+def test_cut_keeps_the_k_smallest_by_lead_then_rank(group):
+    # For every k, the beam's keys and each policy's kept-cut keys: _cut
+    # keeps the first k of the full (lead, rank) order, as a set. The beam
+    # keeps the set of the old beam key, and each policy's cut the set of
+    # its sort_key's first k over the scored chains.
     states = [state for state, _ in group]
     assert all(chainer._runs(state[0]) == list(runs) for state, runs in group)
     old = [(state[0], runs) for state, runs in group]
-    for width in range(1, len(group) + 1):
-        want = {blocks for blocks, _ in heapq.nsmallest(width, old, key=_old_beam_key)}
-        assert {state[0] for state in chainer._beam_cut(states, width)} == want
+    cuts = [(None, chainer._total, chainer._tie_rank)]
+    cuts += [(mode, *_kept_cut_keys(mode, states)) for mode in MODES]
+    chains = [CandidateAlignment(blocks=tuple(MatchBlock(*b) for b in st[0])) for st in states]
+    scored = [(c, gapstats.chain_statistics(c, 100), st[0]) for c, st in zip(chains, states)]
+    for k in range(1, len(group) + 1):
+        for mode, lead, rank in cuts:
+            got = {state[0] for state in chainer._cut(states, k, lead, rank)}
+            assert got == {st[0] for st in sorted(states, key=lambda x: (lead(x), rank(x)))[:k]}
+            if mode is None:
+                want = heapq.nsmallest(k, old, key=_old_beam_key)
+                assert got == {blocks for blocks, _ in want}
+            else:
+                want = sorted(scored, key=gapstats.sort_key(SelectionPolicy(mode=mode)))[:k]
+                assert got == {blocks for _, _, blocks in want}
 
 
 def _parent_search(table, n, m, opts, full_cover):
@@ -537,11 +566,11 @@ def test_search_equals_the_parent_search(symbols, min_window, seed):
         opts = ChainOptions(beam_width=width)
         for full_cover in (True, False):
             old = [
-                (blocks, v_end, s_end, sum(runs), sum(b[2] for b in blocks))
-                for blocks, v_end, s_end, runs in _parent_search(old_table, n, m, opts, full_cover)
+                (blocks, s_end, sum(runs), sum(b[2] for b in blocks))
+                for blocks, _, s_end, runs in _parent_search(old_table, n, m, opts, full_cover)
             ]
             if old and not full_cover:
-                best = max(state[4] for state in old)
-                old = [state for state in old if state[4] == best]
+                best = max(state[3] for state in old)
+                old = [state for state in old if state[3] == best]
             new = chainer._search(table, n, m, opts, full_cover)
             assert sorted(new) == sorted(old), (s.residues, v.residues, width, full_cover)

@@ -393,6 +393,23 @@ def test_verify_reports_counterexample_for_bad_build(capsys, monkeypatch):
         assert "S=" in out and "V=" in out
 
 
+def test_verify_chainer_past_the_oracle_limit_fails_before_searching(capsys, monkeypatch):
+    # Seed 0, case 0 draws m 865, n 198: 169,761 blocks. The oracle refuses
+    # them at once, before the uncapped search, which has no size bound.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the uncapped search ran before the oracle")
+
+    monkeypatch.setattr(chainer, "enumerate_candidates", unreachable)
+    code, out, err = run(
+        capsys, "verify", "--suite", "chainer", "--max-m", "1000", "--max-n", "400",
+        "--cases", "3",
+    )
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: 169761 blocks exceed the exhaustive-chain limit of {oracle.MAX_CHAIN_BLOCKS}"
+    ]
+
+
 def test_bench_small_run(capsys):
     code, out, _ = run(
         capsys, "bench", "--m-range", "64,128,256", "--n-range", "8", "--seed", "3",

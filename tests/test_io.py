@@ -233,6 +233,24 @@ def test_unknown_schema_version_rejected(dna_pair, known_chains):
         report_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda doc: '{"schema_version": 1}',
+        lambda doc: "[]",
+        lambda doc: json.dumps(
+            {**doc, "candidates": [{**doc["candidates"][0], "blocks": [[0, 1]]}]}
+        ),
+        lambda doc: json.dumps({**doc, "candidates": [7]}),
+    ],
+    ids=["no-fields", "not-an-object", "two-element-block", "candidate-not-an-object"],
+)
+def test_malformed_report_raises_parse_error(dna_pair, known_chains, make):
+    doc = json.loads(emit_report(_dna_report(dna_pair, known_chains), "json"))
+    with pytest.raises(ParseError):
+        report_from_json(make(doc))
+
+
 def test_unknown_format_rejected(dna_pair, known_chains):
     with pytest.raises(ValueError):
         emit_report(_dna_report(dna_pair, known_chains), "yaml")

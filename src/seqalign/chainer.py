@@ -25,10 +25,12 @@ runs too.
 
 One cut keeps every item below the k-th smallest lead and ranks only the
 items tied on it: the beam leads on the gap total, the kept candidates on the
-policy's first component. So exactly the kept max_candidates completions are
-built as CandidateAlignments, sharing one MatchBlock per distinct block, and
-scored with gapstats.chain_statistics. render draws any chain in one walk
-over its blocks, checking each block and unmatched span as it goes.
+mean. variance_only keeps and orders them on its whole order in integers
+(gapstats.variance_rank, then the blocks), with no Fraction. So exactly the
+kept max_candidates completions are built as CandidateAlignments, sharing one
+MatchBlock per distinct block, and scored with gapstats.chain_statistics.
+render draws any chain in one walk over its blocks, checking each block and
+unmatched span as it goes.
 """
 
 from __future__ import annotations
@@ -215,8 +217,9 @@ def enumerate_candidates(
 
     Only the kept completions are built and scored. The cut leads on the
     mean, read off a state's total, and ranks the chains tied on the boundary
-    mean by gapstats.policy_key, then the blocks; under variance_only it
-    leads on the whole order (gapstats.variance_rank, then the blocks).
+    mean by gapstats.policy_key, then the blocks. Under variance_only the
+    kept chains are the first max_candidates, and come out in order, by
+    gapstats.variance_rank, then the blocks.
     """
     opts = opts or ChainOptions()
     policy = policy or SelectionPolicy()
@@ -233,15 +236,15 @@ def enumerate_candidates(
 
     k = opts.max_candidates
     truncated = len(states) > k
-    if truncated:
+    variance_only = policy.mode == "variance_only"
+    if variance_only:  # the whole order in integers, a total order with the blocks
+        vrank = gapstats.variance_rank(max((len(st[0]) for st in states), default=1) - 1)
+        states = heapq.nsmallest(k, states, key=lambda st: (vrank(_runs(st[0])), st[0]))
+    elif truncated:  # lead on the mean, bit for bit as statistics() computes it on integer runs
         key = gapstats.policy_key(policy)
-        if policy.mode == "variance_only":  # a total order: nothing ties
-            vrank = gapstats.variance_rank(max(len(st[0]) for st in states) - 1)
-            lead = lambda st: (vrank(_runs(st[0])), st[0])
-        else:  # the mean, bit for bit as statistics() computes it on integer runs
-            lead = lambda st: st[2] / (len(st[0]) - 1) if len(st[0]) > 1 else 0.0
+        lead = lambda st: st[2] / (len(st[0]) - 1) if len(st[0]) > 1 else 0.0
         states = _cut(states, k, lead, lambda st: (key(gapstats.statistics(_runs(st[0]))), st[0]))
-        states.sort(key=lead)  # then the closing sort compares few costly keys (Fractions)
+        states.sort(key=lead)  # the closing sort then finds runs already in order
 
     distinct = {triple for blocks, *_ in states for triple in blocks}
     made = {triple: MatchBlock(*triple) for triple in distinct}  # shared by the kept chains
@@ -249,7 +252,8 @@ def enumerate_candidates(
     for blocks, *_ in states:
         chain = CandidateAlignment(blocks=tuple(map(made.__getitem__, blocks)))
         entries.append((chain, gapstats.chain_statistics(chain, m)))
-    entries.sort(key=gapstats.sort_key(policy))
+    if not variance_only:  # already in policy order, without a Fraction per entry
+        entries.sort(key=gapstats.sort_key(policy))
     return ChainResult(entries=tuple(entries), truncated=truncated, full_coverage=full_coverage)
 
 

@@ -3,12 +3,14 @@
 Exit codes are part of the interface: 0 success, 1 usage or parse error,
 2 no full-coverage alignment without --partial, 3 verification found a
 counterexample. Errors go to standard error prefixed with "error: ".
+align runs with the cyclic garbage collector paused; memory use is the same.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import os
 import random
@@ -135,6 +137,27 @@ def _load_pair(args) -> tuple:
 
 
 def cmd_align(args) -> int:
+    """Run align with the cyclic garbage collector paused, from loading
+    through writing the report.
+
+    The chain search makes hundreds of thousands of short-lived tuples that
+    reference counting frees; the collector would rescan them again and again
+    and free none. The pipeline's data form no cycles, so memory does not
+    change: its only cyclic garbage is the closures of a JSON report's
+    json.dumps calls, a fixed count whatever the input size, which the first
+    collection after the call frees. The caller's collector state is restored
+    on every exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _align(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _align(args) -> int:
     scheme = _parse_scheme(args.scheme)  # validated even when unused
     s, v = _load_pair(args)
     if args.swap:  # gaps in the placed row then read as insertions

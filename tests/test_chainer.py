@@ -1,6 +1,8 @@
 import heapq
 import random
 from dataclasses import replace
+from fractions import Fraction
+from statistics import pvariance
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -350,6 +352,32 @@ def test_variance_cut_scores_only_the_kept_chains(monkeypatch):
     assert len(calls) <= ChainOptions().max_candidates
 
 
+@pytest.mark.parametrize("max_candidates", [3, 10**9])
+@pytest.mark.parametrize("residues", [(S_DNA, V_DNA), ("A" * 30, "A" * 6)])
+def test_variance_order_builds_no_fraction(monkeypatch, residues, max_candidates):
+    # variance_only keeps and orders its chains on integers, below and above
+    # max_candidates: with no exact-variance Fraction to be had, the entries
+    # still come in the documented order (exact variance, mean, blocks).
+    s, v = Sequence("s", residues[0]), Sequence("v", residues[1])
+    index = enumerate_matches(s, v)
+    policy = SelectionPolicy(mode="variance_only")
+    every = enumerate_candidates(index, s, v, ChainOptions(max_candidates=10**9), policy)
+
+    def no_fraction(runs):
+        raise AssertionError("exact variance Fraction built")
+
+    monkeypatch.setattr(gapstats, "_exact_variance", no_fraction)
+    opts = ChainOptions(max_candidates=max_candidates)
+    got = enumerate_candidates(index, s, v, opts, policy)
+    documented = lambda entry: (
+        pvariance(map(Fraction, entry[1].runs or (0,))), entry[1].mean, entry[0].blocks
+    )
+    want = sorted(every.entries, key=documented)[:max_candidates]
+    assert got.entries == tuple(want)
+    assert got.truncated == (len(every.entries) > max_candidates)
+    assert got.truncated == (max_candidates == 3)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_survivor_cut_equals_scoring_every_completion(monkeypatch, mode):
     # Reference: the same search uncapped, which cuts nothing, scores every
@@ -462,9 +490,10 @@ def _tied_groups(draw):
 
 
 def _kept_cut_keys(mode, states):
-    """enumerate_candidates' (lead, rank) for the kept-candidate cut, written
-    out: the mean off the state's total, or variance_only's whole order; then
-    policy_key of the scored runs and the blocks."""
+    """Each policy's (lead, rank) over the kept candidates, written out: the
+    mean off the state's total (enumerate_candidates' cut), or variance_only's
+    whole order (its nsmallest); then policy_key of the scored runs and the
+    blocks."""
     key = gapstats.policy_key(SelectionPolicy(mode=mode))
     if mode == "variance_only":
         vrank = gapstats.variance_rank(max(len(state[0]) for state in states) - 1)

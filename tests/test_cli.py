@@ -1,6 +1,10 @@
 import contextlib
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -10,7 +14,7 @@ from perfbench import workloads
 from seqalign import baselines, chainer, cli, matcher, oracle
 from seqalign.core import Sequence
 from seqalign.cli import main
-from conftest import KNOWN_PLACEMENTS, S_DNA, V_DNA
+from conftest import KNOWN_PLACEMENTS, ROOT, S_DNA, V_DNA
 
 
 def run(capsys, *argv):
@@ -251,6 +255,98 @@ def test_align_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "align", "--s", "AC", "--v", "C", "--min-window", "0")
     assert code == 1
+
+
+def _chain_random_argv(fmt="json"):
+    pair = workloads.chain_random(1).pairs[0]  # 512 x 16 with a full cover
+    return ["align", "--s", pair.s, "--v", pair.v, "--beam", "64", "--format", fmt]
+
+
+@pytest.fixture
+def collector_on():
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if not was:
+        gc.disable()
+
+
+def test_align_starts_no_garbage_collection(capsys, collector_on):
+    # With the collector on, such an alignment would start about 140
+    # young-generation passes over its search states; align pauses it.
+    starts = []
+    hook = lambda phase, info: starts.append(info) if phase == "start" else None
+    gc.callbacks.append(hook)
+    try:
+        code = main(_chain_random_argv())
+        during = len(starts)
+    finally:
+        gc.callbacks.remove(hook)
+    assert code == 0
+    assert during == 0
+    assert gc.isenabled()
+
+
+def test_align_restores_the_callers_collector_state(capsys, collector_on, monkeypatch):
+    assert main(["align", "--s", S_DNA, "--v", V_DNA]) == 0
+    assert gc.isenabled()
+    assert main(["align", "--s", "ABC", "--v", "XYZ"]) == 2
+    assert gc.isenabled()
+    assert main(["align", "--s", "ABC", "--v", "ABC", "--beam", "0"]) == 1
+    assert gc.isenabled()
+    gc.disable()
+    assert main(["align", "--s", S_DNA, "--v", V_DNA]) == 0
+    assert not gc.isenabled()
+    gc.enable()
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(chainer, "enumerate_candidates", boom)
+    with pytest.raises(RuntimeError):
+        main(["align", "--s", S_DNA, "--v", V_DNA])
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_align_defers_a_fixed_amount_of_cyclic_garbage(collector_on, fmt):
+    # The pipeline's data form no cycles: the only cyclic garbage a call
+    # leaves to the next collection is the closures of a JSON report's
+    # json.dumps calls, the same count whatever the input size.
+    def deferred(argv):
+        gc.collect()
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+        return gc.collect()
+
+    argvs = [
+        ["align", "--s", S_DNA, "--v", V_DNA, "--format", fmt],
+        ["align", "--s", "A" * 100, "--v", "A" * 10, "--format", fmt],
+        _chain_random_argv(fmt),
+    ]
+    deferred(argvs[0])  # warm-up: first-call caches
+    gc.disable()  # so the count is the call's alone
+    try:
+        counts = [deferred(argv) for argv in argvs]
+    finally:
+        gc.enable()
+    if fmt == "text":
+        assert counts == [0, 0, 0]
+    else:
+        assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
+def test_python_m_seqalign_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "seqalign", "verify", "--suite", "matcher", "--cases", "3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ok matcher")
 
 
 @pytest.mark.parametrize("algo", ["nw", "sw"])

@@ -78,7 +78,9 @@ class Sequence:
 
     def __post_init__(self):
         r = self.residues
-        if not r or (r.isascii() and r.isalpha() and r.isupper()):
+        # One pass over the ASCII bytes: bytes.isalpha and isupper know only A-Z
+        # and a-z, where str.isalpha looks up every character's Unicode class.
+        if not r or (r.isascii() and (b := r.encode("ascii")).isalpha() and b.isupper()):
             return
         bad = next((c for c in r if c not in UPPERCASE.symbols), None)
         if bad is not None:
@@ -118,16 +120,18 @@ def validate_block(block: MatchBlock, s: Sequence, v: Sequence) -> None:
 
 
 def _check_chain_blocks(blocks: tuple) -> None:
+    """Each element is a MatchBlock that starts at or after the previous one's
+    end in both sequences. Each block's fields are read once; its ends are
+    computed here, not through the v_end/s_end properties."""
     prev = None
+    v_end = s_end = 0
     for b in blocks:
         if not isinstance(b, MatchBlock):
             raise StructuralViolationError(f"chain element {b!r} is not a MatchBlock")
-        if prev is not None:
-            if b.v_start < prev.v_end or b.s_start < prev.s_end:
-                raise StructuralViolationError(
-                    f"blocks {prev} and {b} overlap or cross"
-                )
-        prev = b
+        v_start, s_start, length = b.v_start, b.s_start, b.length
+        if prev is not None and (v_start < v_end or s_start < s_end):
+            raise StructuralViolationError(f"blocks {prev} and {b} overlap or cross")
+        prev, v_end, s_end = b, v_start + length, s_start + length
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import chainer
@@ -207,15 +206,6 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _json_array(items, pad: int) -> str:
-    """A JSON array of encoded items, laid out as json.dumps(indent=2) lays
-    out an array whose opening bracket sits at indent pad."""
-    if not items:
-        return "[]"
-    inner = "\n" + " " * (pad + 2)
-    return "[" + inner + ("," + inner).join(items) + "\n" + " " * pad + "]"
-
-
 def _json_float(x) -> str:
     """A float as json.dumps writes it; NaN and the infinities raise the
     ValueError that allow_nan=False raises."""
@@ -226,36 +216,57 @@ def _json_float(x) -> str:
     return float.__repr__(x)
 
 
+# A candidate's arrays sit at indent 6 and their items at indent 8; the
+# candidates array sits at indent 2 and its items at indent 4.
+_ITEM8, _SEP8, _END6 = "\n        ", ",\n        ", "\n      "
+_ITEM4, _SEP4, _END2 = "\n    ", ",\n    ", "\n  "
+
+
+class _BlockTexts(dict):
+    """Each distinct block's JSON text at indent 8, encoded on first use.
+
+    The kept chains share their blocks, so a report holds far fewer distinct
+    blocks than block references.
+    """
+
+    def __missing__(self, b: MatchBlock) -> str:
+        text = self[b] = (
+            f"[\n          {b.v_start},\n          {b.s_start},\n          {b.length}\n        ]"
+        )
+        return text
+
+
 def _candidates_json(report: AlignmentReport) -> str:
     """The candidates array, as it sits at indent 2 in the report document.
 
     Byte for byte what json.dumps(..., indent=2, allow_nan=False) writes,
-    without that call's pure-Python encoder. The reference line is the same
-    on every candidate, so it is encoded once.
+    without that call's pure-Python encoder. The three rendered lines are
+    written inside plain quotes, not encoded: a Sequence admits only A-Z, and
+    render adds only '-', ' ' and '|', none of which JSON escapes. Each
+    distinct block is encoded once per report, each array is one join, and
+    each candidate is one f-string.
     """
-    s_line = encode_basestring_ascii(report.s.residues)
+    s_line = report.s.residues
+    block_text = _BlockTexts()
     out = []
     for chain, stats in report.entries:
         rendered = chainer.render(chain, report.s, report.v)
-        # Each block as _json_array lays out its three coordinates at indent 8.
-        blocks = [
-            f"[\n          {b.v_start},\n          {b.s_start},\n          {b.length}\n        ]"
-            for b in chain.blocks
-        ]
-        lines = (s_line, encode_basestring_ascii(rendered.marker_line),
-                 encode_basestring_ascii(rendered.v_line))
+        blocks = _SEP8.join(map(block_text.__getitem__, chain.blocks))
+        runs = _SEP8.join(map(str, stats.runs))
+        subs = _SEP8.join(map(str, rendered.substitutions))
         out.append(
             "{\n"
-            f'      "blocks": {_json_array(blocks, 6)},\n'
+            f'      "blocks": [{_ITEM8}{blocks}{_END6}],\n'
             f'      "coverage": {chain.coverage},\n'
-            f'      "runs": {_json_array([str(r) for r in stats.runs], 6)},\n'
+            f'      "runs": {f"[{_ITEM8}{runs}{_END6}]" if runs else "[]"},\n'
             f'      "mean": {_json_float(stats.mean)},\n'
             f'      "variance": {_json_float(stats.variance)},\n'
-            f'      "rendered": {_json_array(lines, 6)},\n'
-            f'      "substitutions": {_json_array([str(c) for c in rendered.substitutions], 6)}\n'
+            f'      "rendered": [{_ITEM8}"{s_line}",{_ITEM8}"{rendered.marker_line}",'
+            f'{_ITEM8}"{rendered.v_line}"{_END6}],\n'
+            f'      "substitutions": {f"[{_ITEM8}{subs}{_END6}]" if subs else "[]"}\n'
             "    }"
         )
-    return _json_array(out, 2)
+    return f"[{_ITEM4}{_SEP4.join(out)}{_END2}]" if out else "[]"
 
 
 def emit_report(report: AlignmentReport, format: str = "text") -> str:

@@ -1,5 +1,7 @@
+import string
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seqalign import (
     CandidateAlignment,
@@ -12,6 +14,7 @@ from seqalign import (
     validate_block,
     validate_chain,
 )
+from seqalign.core import _check_chain_blocks
 from seqalign.oracle import canonicalize
 from conftest import chain_of
 
@@ -31,6 +34,27 @@ def test_sequence_rejects_non_uppercase():
     for residues, bad in (("AÉ", "É"), ("ACgT", "g"), ("AΣ", "Σ")):
         with pytest.raises(ParseError, match=f"residue {bad!r} "):
             Sequence("x", residues)
+
+
+@settings(max_examples=400)
+@given(
+    st.one_of(
+        st.text(),
+        st.text(st.sampled_from(string.ascii_uppercase)),
+        st.text(st.sampled_from(string.ascii_uppercase + 'az09"\\- \x00ß\u01c5\uff21ÉΣ')),
+    )
+)
+def test_sequence_check_agrees_with_the_str_predicate(residues):
+    # The JSON writer quotes residues without escaping them: that rests on
+    # Sequence admitting exactly the strings over A-Z. Titlecase (ǅ) and
+    # fullwidth (Ａ) letters pass str.isalpha and str.isupper but not isascii.
+    if not residues or (residues.isascii() and residues.isalpha() and residues.isupper()):
+        assert Sequence("x", residues).residues == residues
+        return
+    bad = next(c for c in residues if c not in string.ascii_uppercase)
+    with pytest.raises(ParseError) as exc:
+        Sequence("x", residues)
+    assert str(exc.value) == f"residue {bad!r} is not an uppercase ASCII letter"
 
 
 def test_match_block_bad_coordinates():
@@ -56,6 +80,69 @@ def test_chain_rejects_overlap_and_crossing():
         chain_of(((0, 4, 2), (2, 3, 1)))  # crossing in S
     with pytest.raises(StructuralViolationError):
         chain_of(((0, 0, 2), (2, 1, 1)))  # overlap in S
+
+
+class _Block(MatchBlock):
+    """A MatchBlock subclass: the chain check takes it as a block."""
+
+
+def _check_by_end_properties(blocks):
+    """The chain check as defined on the v_end and s_end properties."""
+    prev = None
+    for b in blocks:
+        if not isinstance(b, MatchBlock):
+            raise StructuralViolationError(f"chain element {b!r} is not a MatchBlock")
+        if prev is not None and (b.v_start < prev.v_end or b.s_start < prev.s_end):
+            raise StructuralViolationError(f"blocks {prev} and {b} overlap or cross")
+        prev = b
+
+
+def _check_outcome(check, blocks):
+    try:
+        check(blocks)
+    except StructuralViolationError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def near_chains(draw):
+    """Elements that mostly start near the previous block's end, so valid
+    chains, overlaps and crossings in either sequence all occur; some are
+    MatchBlock subclasses and some are not blocks at all."""
+    out, v_end, s_end = [], 0, 0
+    for _ in range(draw(st.integers(0, 6))):
+        v_start = max(0, v_end + draw(st.integers(-2, 2)))
+        s_start = max(0, s_end + draw(st.integers(-2, 3)))
+        length = draw(st.integers(1, 3))
+        kind = draw(st.sampled_from([MatchBlock, MatchBlock, _Block, tuple]))
+        out.append((v_start, s_start, length) if kind is tuple else kind(v_start, s_start, length))
+        v_end, s_end = v_start + length, s_start + length
+    return tuple(out)
+
+
+@settings(max_examples=500)
+@given(near_chains())
+def test_chain_check_agrees_with_the_end_properties(blocks):
+    # Raises exactly when the property definition does, with the same
+    # message for the first fault.
+    assert _check_outcome(_check_chain_blocks, blocks) == _check_outcome(
+        _check_by_end_properties, blocks
+    )
+
+
+def test_chain_check_reports_the_first_fault():
+    crossing = (MatchBlock(0, 4, 2), MatchBlock(2, 3, 1), (5, 5, 1))
+    want = f"blocks {crossing[0]} and {crossing[1]} overlap or cross"
+    assert _check_outcome(_check_chain_blocks, crossing) == want
+    assert _check_outcome(_check_chain_blocks, crossing[:1] + crossing[2:]) == (
+        "chain element (5, 5, 1) is not a MatchBlock"
+    )
+    assert _check_outcome(_check_chain_blocks, (MatchBlock(0, 0, 1), _Block(1, 1, 2))) is None
+    overlap = (_Block(0, 0, 2), MatchBlock(1, 5, 1))
+    assert _check_outcome(_check_chain_blocks, overlap) == (
+        f"blocks {overlap[0]} and {overlap[1]} overlap or cross"
+    )
 
 
 def test_canonicalize_merges_doubly_contiguous_blocks():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import string
 from dataclasses import replace
 
 import pytest
@@ -31,9 +32,11 @@ from seqalign import (
     report_from_json,
     smith_waterman,
 )
+from perfbench import workloads
 from seqalign.core import UPPERCASE, CandidateAlignment
 from seqalign.gapstats import MODES
 from seqalign.io import _clean_body, _clean_line
+from seqalign.matcher import MatchOptions
 from seqalign.oracle import canonicalize
 from conftest import KNOWN_PLACEMENTS, S_DNA, chain_of
 
@@ -365,10 +368,14 @@ json_values = st.one_of(st.none(), st.booleans(), st.integers(), finite, st.text
 
 @st.composite
 def reports(draw):
+    # A few letters per report, so the sequences share blocks; over the
+    # examples every letter of A-Z appears in the quoted lines.
+    alphabet = st.lists(st.sampled_from(string.ascii_uppercase), min_size=1, max_size=4, unique=True)
+    letters = st.sampled_from(draw(alphabet))
     m = draw(st.integers(1, 10))
-    s = Sequence(draw(ids), draw(st.text(st.sampled_from("AB"), min_size=m, max_size=m)))
+    s = Sequence(draw(ids), draw(st.text(letters, min_size=m, max_size=m)))
     n = draw(st.integers(1, min(m, 5)))
-    v = Sequence(draw(ids), draw(st.text(st.sampled_from("AB"), min_size=n, max_size=n)))
+    v = Sequence(draw(ids), draw(st.text(letters, min_size=n, max_size=n)))
     common = dict(
         s=s,
         v=v,
@@ -428,6 +435,34 @@ def test_json_writer_on_fixed_cases(dna_pair, known_chains):
     ):
         assert emit_report(case, "json") == _reference_json(case)
     assert '"mean": 1.5555555555555554,' in emit_report(replace(report, entries=((chain, odd),)), "json")
+
+
+@pytest.mark.parametrize(
+    "name, size, candidates", [("chain-random", 512, 1024), ("read-map", 8192, 3)]
+)
+def test_json_writer_on_benchmark_pairs(name, size, candidates):
+    # Full size, from seed 1 of the benchmark: 1,024 candidates of 512
+    # columns that share their blocks, and one read on an 8,192-residue
+    # reference.
+    workload = workloads.make(name, 1)
+    pair = workload.pairs[0]
+    s, v = Sequence(pair.s_id, pair.s), Sequence(pair.v_id, pair.v)
+    index = enumerate_matches(s, v, MatchOptions(min_window=workload.min_window))
+    opts = ChainOptions(max_candidates=1024, beam_width=workload.beam)
+    result = enumerate_candidates(index, s, v, opts, SelectionPolicy())
+    assert (len(s), len(result.entries)) == (size, candidates)
+    report = AlignmentReport(
+        algorithm="proposed",
+        s=s,
+        v=v,
+        entries=result.entries,
+        policy=SelectionPolicy().mode,
+        counters=index.counters,
+        full_coverage=result.full_coverage,
+        truncated=result.truncated,
+        options={"min_window": workload.min_window, "beam_width": workload.beam},
+    )
+    assert emit_report(report, "json") == _reference_json(report)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

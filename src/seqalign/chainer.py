@@ -30,7 +30,8 @@ mean. variance_only keeps and orders them on its whole order in integers
 kept max_candidates completions are built as CandidateAlignments, sharing one
 MatchBlock per distinct block, and scored with gapstats.chain_statistics.
 render draws any chain in one walk over its blocks, checking each block and
-unmatched span as it goes.
+unmatched span as it goes; callers that render many chains of one pair share
+a dict of the pieces drawn, so each distinct piece is drawn and checked once.
 """
 
 from __future__ import annotations
@@ -91,10 +92,10 @@ class ChainResult:
 
 
 # A search state is a plain tuple (blocks, s_end, total, cover): blocks
-# holds (v_start, s_start, length) triples, which order as MatchBlocks do,
-# total is the integer sum of the interior gap runs and cover the number of
-# fragment symbols matched. Every run is at least 1, so k blocks have k - 1
-# runs, and _runs reads them off the blocks when needed.
+# holds (v_start, s_start, length) triples, which equal and order as
+# MatchBlocks do, total is the integer sum of the interior gap runs and cover
+# the number of fragment symbols matched. Every run is at least 1, so k
+# blocks have k - 1 runs, and _runs reads them off the blocks when needed.
 _total = itemgetter(2)
 _cover = itemgetter(3)
 
@@ -270,7 +271,47 @@ class RenderedAlignment:
         return "\n".join((self.s_line, self.marker_line, self.v_line))
 
 
-def render(chain: CandidateAlignment, s: Sequence, v: Sequence) -> RenderedAlignment:
+def _piece(block, column: int, v_from: int, s_res: str, v_res: str) -> tuple:
+    """The unmatched span v_from..block.v_start and the block, drawn from
+    reference column `column` on: (markers, row, substitutions, end column).
+
+    Only the first block is drawn from column 0 (every block ends at a
+    column past 0); its leading span ends where it starts. Every later span
+    starts at `column`, where the block before it ended. So the arguments
+    and the sequences fix the piece, and a piece that breaks a rule raises
+    here, before any caller can store it.
+    """
+    m, n = len(s_res), len(v_res)
+    v_start, s_start, length = block
+    at = column if column else s_start - v_start
+    markers = row = ""
+    subs = ()
+    if v_from < v_start:
+        end = at + v_start - v_from
+        if at < column or end > m:
+            raise StructuralViolationError(
+                f"no room for unmatched fragment span {v_from}..{v_start} "
+                f"at reference {at}..{end}: {column}..{m} is free"
+            )
+        markers = " " * (end - column)
+        subs = tuple(range(at, end))
+        row = "-" * (at - column) + v_res[v_from:v_start]
+        column = end
+    at, end = s_start, s_start + length
+    if at < column or end > m:
+        raise StructuralViolationError(
+            f"no room for block {block} at reference {at}..{end}: {column}..{m} is free"
+        )
+    placed = v_res[v_start : v_start + length]
+    if placed != s_res[at:end]:
+        raise StructuralViolationError(f"block {block} does not match the sequences (n={n})")
+    gap = at - column
+    return (markers + " " * gap + "|" * length, row + "-" * gap + placed, subs, end)
+
+
+def render(
+    chain: CandidateAlignment, s: Sequence, v: Sequence, pieces: dict | None = None
+) -> RenderedAlignment:
     """Render a chain in the dash format: line 1 is the reference verbatim,
     line 2 marks matched positions with '|', line 3 places each fragment
     symbol at its reference position with '-' elsewhere (always length m).
@@ -282,47 +323,50 @@ def render(chain: CandidateAlignment, s: Sequence, v: Sequence) -> RenderedAlign
     the room rule for all three kinds of span and the reference bound for
     blocks. A block must also spell the same symbols in both sequences,
     which fails too when it runs past the fragment.
+
+    The walk draws each block with the span before it as one piece (see
+    _piece), keyed by (column, v_from, block): where the previous block
+    ended in the reference and in the fragment, and the block. `pieces` is
+    a dict that calls on the same s and v may share, so each distinct piece
+    is drawn and checked once; a piece that fails is never stored. The dict
+    records the (s, v) it was filled for, and a call with other sequences
+    raises ValueError. The trailing span, one per chain, is drawn each time.
     """
     blocks = chain.blocks
     if not blocks:
         raise EmptyInputError("cannot render an empty chain")
+    if pieces is None:
+        pieces = {None: (s, v)}
+    elif pieces.setdefault(None, (s, v)) != (s, v):
+        raise ValueError("render pieces were filled for other sequences")
     m, n = len(s), len(v)
     s_res, v_res = s.residues, v.residues
     row, markers, subs = [], [], []
-    column = 0  # reference columns before this one are placed
-    # The unmatched span v_from..v_to before each block (and after the last
-    # one) goes at reference column `at`.
-    v_from, at = 0, blocks[0].s_start - blocks[0].v_start
-    for block in (*blocks, None):
-        v_to = n if block is None else block.v_start
-        if v_from < v_to:
-            end = at + v_to - v_from
-            if at < column or end > m:
-                raise StructuralViolationError(
-                    f"no room for unmatched fragment span {v_from}..{v_to} "
-                    f"at reference {at}..{end}: {column}..{m} is free"
-                )
-            markers.append(" " * (end - column))
-            subs.extend(range(at, end))
-            row.append("-" * (at - column) + v_res[v_from:v_to])
-            column = end
-        if block is None:
-            break
-        at, v_from = block.s_start, block.v_start
-        end, v_to = at + block.length, v_from + block.length
-        if at < column or end > m:
+    column = v_from = 0  # the reference and fragment positions placed so far
+    for block in blocks:
+        key = (column, v_from, block)
+        piece = pieces.get(key)
+        if piece is None:
+            piece = pieces[key] = _piece(block, column, v_from, s_res, v_res)
+        marks, placed, sub, column = piece
+        markers.append(marks)
+        row.append(placed)
+        if sub:
+            subs += sub
+        v_from = block[0] + block[2]  # the block's v_end
+    if v_from < n:  # the trailing span, right after the last block
+        end = column + n - v_from
+        if end > m:
             raise StructuralViolationError(
-                f"no room for block {block} at reference {at}..{end}: {column}..{m} is free"
+                f"no room for unmatched fragment span {v_from}..{n} "
+                f"at reference {column}..{end}: {column}..{m} is free"
             )
-        placed = v_res[v_from:v_to]
-        if placed != s_res[at:end]:
-            raise StructuralViolationError(f"block {block} does not match the sequences (n={n})")
-        markers.append(" " * (at - column) + "|" * block.length)
-        row.append("-" * (at - column) + placed)
+        markers.append(" " * (end - column))
+        subs += range(column, end)
+        row.append(v_res[v_from:])
         column = end
-        v_from, at = v_to, end
     return RenderedAlignment(
-        s_line=s.residues,
+        s_line=s_res,
         marker_line="".join(markers) + " " * (m - column),
         v_line="".join(row) + "-" * (m - column),
         substitutions=tuple(subs),

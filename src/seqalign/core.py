@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import string
+from collections import namedtuple
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -90,17 +92,27 @@ class Sequence:
         return len(self.residues)
 
 
-@dataclass(frozen=True, order=True)
-class MatchBlock:
-    """One recorded substring match: V[v_start:v_start+length] == S[s_start:s_start+length]."""
+class MatchBlock(namedtuple("MatchBlock", "v_start s_start length")):
+    """One recorded substring match: V[v_start:v_start+length] == S[s_start:s_start+length].
 
-    v_start: int
-    s_start: int
-    length: int
+    An immutable tuple of its three fields, so hashing, equality and order
+    are the tuple's own: a block equals, hashes and orders as the plain
+    triple (v_start, s_start, length).
+    """
 
-    def __post_init__(self):
-        if self.v_start < 0 or self.s_start < 0 or self.length < 1:
-            raise StructuralViolationError(f"bad block coordinates {self!r}")
+    __slots__ = ()
+
+    def __new__(cls, v_start, s_start, length):
+        if v_start < 0 or s_start < 0 or length < 1:
+            raise StructuralViolationError(
+                f"bad block coordinates MatchBlock(v_start={v_start!r}, "
+                f"s_start={s_start!r}, length={length!r})"
+            )
+        return tuple.__new__(cls, (v_start, s_start, length))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # namedtuple's own _make would skip the check
 
     @property
     def v_end(self) -> int:
@@ -109,6 +121,9 @@ class MatchBlock:
     @property
     def s_end(self) -> int:
         return self.s_start + self.length
+
+
+_length = attrgetter("length")
 
 
 def validate_block(block: MatchBlock, s: Sequence, v: Sequence) -> None:
@@ -150,7 +165,7 @@ class CandidateAlignment:
 
     @property
     def coverage(self) -> int:
-        return sum(b.length for b in self.blocks)
+        return sum(map(_length, self.blocks))
 
 
 def validate_chain(chain: CandidateAlignment, s: Sequence, v: Sequence) -> None:

@@ -11,14 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, attrgetter, mul, sub
+from operator import mul
 
 from .core import CandidateAlignment, EmptyInputError, GapStatistics, StructuralViolationError
 
 MODES = ("mean_then_variance", "variance_only", "mean_only")
-
-_s_start = attrgetter("s_start")
-_length = attrgetter("length")
 
 
 @dataclass(frozen=True)
@@ -43,18 +40,22 @@ def gap_runs(chain: CandidateAlignment, m: int) -> tuple:
     blocks = chain.blocks
     if not blocks:
         raise EmptyInputError("cannot compute gap runs of an empty chain")
-    if blocks[-1].s_end > m:
+    # A chain's blocks never overlap in S, so every gap is >= 0; a block
+    # adjacent in S to the one before it leaves none.
+    runs, end = [], blocks[0].s_start
+    for _, s_start, length in blocks:
+        if s_start != end:
+            runs.append(s_start - end)
+        end = s_start + length
+    if end > m:
         raise StructuralViolationError(f"chain exceeds reference length {m}")
-    # A chain's blocks never overlap in S, so every gap is >= 0 and filter
-    # drops exactly the zero ones (blocks adjacent in S).
-    starts = list(map(_s_start, blocks))
-    ends = map(add, starts, map(_length, blocks))
-    return tuple(filter(None, map(sub, starts[1:], ends)))
+    return tuple(runs)
 
 
 def statistics(runs) -> GapStatistics:
     """Mean and population variance of the run lengths; (0, 0) when there are none."""
-    runs = tuple(runs)
+    if type(runs) is not tuple:
+        runs = tuple(runs)
     if not runs:
         return GapStatistics(runs=(), mean=0.0, variance=0.0)
     if min(runs) <= 0:

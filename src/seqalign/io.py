@@ -211,9 +211,9 @@ def _json_float(x) -> str:
     ValueError that allow_nan=False raises."""
     if type(x) is not float:
         return json.dumps(x, allow_nan=False)
-    if x != x or x in (math.inf, -math.inf):
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return float.__repr__(x)
+    if -math.inf < x < math.inf:  # false for NaN too
+        return float.__repr__(x)
+    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
 
 
 # A candidate's arrays sit at indent 6 and their items at indent 8; the
@@ -244,13 +244,16 @@ def _candidates_json(report: AlignmentReport) -> str:
     written inside plain quotes, not encoded: a Sequence admits only A-Z, and
     render adds only '-', ' ' and '|', none of which JSON escapes. Each
     distinct block is encoded once per report, each array is one join, and
-    each candidate is one f-string.
+    each candidate is one f-string. The chains are rendered from one dict of
+    pieces per report (see chainer.render).
     """
-    s_line = report.s.residues
+    s, v = report.s, report.v
+    s_line = s.residues
     block_text = _BlockTexts()
+    pieces: dict = {}  # render's pieces, shared by the report's chains
     out = []
     for chain, stats in report.entries:
-        rendered = chainer.render(chain, report.s, report.v)
+        rendered = chainer.render(chain, s, v, pieces)
         blocks = _SEP8.join(map(block_text.__getitem__, chain.blocks))
         runs = _SEP8.join(map(str, stats.runs))
         subs = _SEP8.join(map(str, rendered.substitutions))
@@ -336,6 +339,7 @@ def _emit_text(report: AlignmentReport) -> str:
         )
         if not report.entries:
             lines.append("no alignment: the sequences share no admissible match blocks")
+        pieces: dict = {}  # render's pieces, shared by the report's chains
         for i, (chain, stats) in enumerate(report.entries):
             mark = " *" if i == report.selected else ""
             runs = ",".join(str(r) for r in stats.runs) or "none"
@@ -344,7 +348,7 @@ def _emit_text(report: AlignmentReport) -> str:
                 f"#{i + 1}{mark} gap mean/variance: {_fmt(stats.mean)} {_fmt(stats.variance)}"
                 f"  runs: {runs}  coverage: {chain.coverage}/{len(report.v)}"
             )
-            lines.append(chainer.render(chain, report.s, report.v).text())
+            lines.append(chainer.render(chain, report.s, report.v, pieces).text())
     else:
         lines.append(f"score: {report.scored.score:g}")
         mask = "".join("|" if hit else " " for hit in report.scored.match_mask)

@@ -267,23 +267,34 @@ def _room_fails(blocks, m, n) -> bool:
 
 
 @st.composite
-def _ordered_chains(draw):
-    """A small AB pair and an ordered chain on it, valid or not."""
+def _ordered_chains(draw, count=1):
+    """A small AB pair and `count` ordered chains on it, valid or not.
+
+    Each chain after the first may begin with some of the blocks of the one
+    before it, so that chains share the pieces render draws.
+    """
     n = draw(st.integers(1, 6))
     m = draw(st.integers(n, 10))
     steps = st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(1, 3))
-    blocks, v_at, s_at = [], 0, 0
-    for v_skip, s_skip, length in draw(st.lists(steps, min_size=1, max_size=3)):
-        v_at, s_at = v_at + v_skip, s_at + s_skip
-        blocks.append(MatchBlock(v_at, s_at, length))
-        v_at, s_at = v_at + length, s_at + length
+    chains = []
+    for _ in range(count):
+        shared = chains[-1][: draw(st.integers(0, len(chains[-1])))] if chains else []
+        blocks = list(shared)
+        v_at, s_at = (shared[-1].v_end, shared[-1].s_end) if shared else (0, 0)
+        for v_skip, s_skip, length in draw(st.lists(steps, min_size=not shared, max_size=3)):
+            v_at, s_at = v_at + v_skip, s_at + s_skip
+            blocks.append(MatchBlock(v_at, s_at, length))
+            v_at, s_at = v_at + length, s_at + length
+        chains.append(blocks)
     v = draw(st.text(st.sampled_from("AB"), min_size=n, max_size=n))
     s = list(draw(st.text(st.sampled_from("AB"), min_size=m, max_size=m)))
-    if draw(st.booleans()):  # copy the blocks' symbols, so most blocks match
-        for b in blocks:
-            for i in range(min(b.length, n - b.v_start, m - b.s_start)):
-                s[b.s_start + i] = v[b.v_start + i]
-    return Sequence("s", "".join(s)), Sequence("v", v), CandidateAlignment(blocks=tuple(blocks))
+    for blocks in chains:
+        if draw(st.booleans()):  # copy the blocks' symbols, so most blocks match
+            for b in blocks:
+                for i in range(min(b.length, n - b.v_start, m - b.s_start)):
+                    s[b.s_start + i] = v[b.v_start + i]
+    chains = [CandidateAlignment(blocks=tuple(blocks)) for blocks in chains]
+    return (Sequence("s", "".join(s)), Sequence("v", v), *chains)
 
 
 @settings(max_examples=400, deadline=None)
@@ -315,6 +326,89 @@ def test_render_against_the_placement_rule(case):
     for b, v_next in zip(blocks, [b.v_start for b in blocks[1:]] + [n]):
         placed += range(b.s_end, b.s_end + v_next - b.v_end)
     assert rendered.substitutions == tuple(placed)
+
+
+def _render_outcome(chain, s, v, *pieces):
+    try:
+        return render(chain, s, v, *pieces)
+    except StructuralViolationError as exc:
+        return type(exc), str(exc)
+
+
+def _piece_keys(chain) -> list:
+    """The keys of the pieces render draws for the chain, in walk order: a
+    piece starts where the block before it ended, in the reference and in
+    the fragment, and the first one at 0, 0."""
+    ends = [(0, 0)] + [(b.s_end, b.v_end) for b in chain.blocks]
+    return [(column, v_from, b) for (column, v_from), b in zip(ends, chain.blocks)]
+
+
+def _check_stored_pieces(pieces, s, v):
+    """Every stored piece is the one drawn afresh for its key; none fails."""
+    for key, piece in pieces.items():
+        if key is not None:
+            column, v_from, block = key
+            assert chainer._piece(block, column, v_from, s.residues, v.residues) == piece
+
+
+def _first_failing_key(chain, s, v):
+    for column, v_from, block in _piece_keys(chain):
+        try:
+            chainer._piece(block, column, v_from, s.residues, v.residues)
+        except StructuralViolationError:
+            return column, v_from, block
+    return None  # every piece draws; only the trailing span can fail
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ordered_chains(count=4))
+def test_render_with_shared_pieces_is_render_alone(case):
+    # One dict across several chains on one pair, valid and invalid: each
+    # outcome is exactly that of render without a dict, a failing piece is
+    # never stored, and every piece before it is.
+    s, v, *chains = case
+    pieces = {}
+    for chain in chains:
+        alone = _render_outcome(chain, s, v)
+        assert _render_outcome(chain, s, v, pieces) == alone
+        _check_stored_pieces(pieces, s, v)
+        keys = _piece_keys(chain)
+        failing = _first_failing_key(chain, s, v)
+        if failing is None:
+            assert all(key in pieces for key in keys)
+        else:
+            assert isinstance(alone, tuple)
+            assert failing not in pieces
+            assert all(key in pieces for key in keys[: keys.index(failing)])
+    with pytest.raises(ValueError, match="other sequences"):
+        render(chains[0], Sequence("s", s.residues + "A"), v, pieces)
+    with pytest.raises(ValueError, match="other sequences"):
+        render(chains[0], s, Sequence("w", v.residues), pieces)
+
+
+def test_render_with_shared_pieces_on_every_kind_of_span():
+    # Full covers and chains with leading, interior and trailing spans, each
+    # rendered after the others have filled the dict, in both orders.
+    s, v = Sequence("s", "ABBABAABAB"), Sequence("v", "ABBAB")
+    chains = [
+        chain_of(coords)
+        for coords in (
+            ((0, 0, 5),),  # full cover
+            ((0, 0, 2), (2, 7, 3)),  # full cover with an interior gap
+            ((1, 1, 2), (4, 7, 1)),  # leading and interior spans
+            ((0, 0, 2), (3, 6, 1)),  # interior and trailing spans
+            ((0, 0, 3),),  # trailing span
+            ((2, 2, 2),),  # leading and trailing spans
+            ((0, 0, 2), (2, 6, 2)),  # shares its first piece, then fails
+        )
+    ]
+    alone = [_render_outcome(chain, s, v) for chain in chains]
+    assert sum(isinstance(x, tuple) for x in alone) == 1
+    for order in (chains, chains[::-1]):
+        pieces = {}
+        for chain in order:
+            assert _render_outcome(chain, s, v, pieces) == alone[chains.index(chain)]
+        _check_stored_pieces(pieces, s, v)
 
 
 def _counting_chain_statistics(monkeypatch):

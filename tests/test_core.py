@@ -1,3 +1,4 @@
+import pickle
 import string
 
 import pytest
@@ -62,6 +63,55 @@ def test_match_block_bad_coordinates():
         MatchBlock(-1, 0, 1)
     with pytest.raises(StructuralViolationError):
         MatchBlock(0, 0, 0)
+
+
+def test_match_block_fields_and_repr():
+    b = MatchBlock(2, 5, 3)
+    assert MatchBlock._fields == ("v_start", "s_start", "length")
+    assert repr(b) == str(b) == "MatchBlock(v_start=2, s_start=5, length=3)"
+    assert (b.v_start, b.s_start, b.length, b.v_end, b.s_end) == (2, 5, 3, 5, 8)
+    assert MatchBlock(v_start=2, s_start=5, length=3) == b
+
+
+@pytest.mark.parametrize("coords", [(-1, 0, 1), (0, -2, 1), (0, 0, 0), (3, 4, -1)])
+def test_match_block_bad_coordinates_message(coords):
+    v_start, s_start, length = coords
+    want = f"bad block coordinates MatchBlock(v_start={v_start}, s_start={s_start}, length={length})"
+    with pytest.raises(StructuralViolationError) as exc:
+        MatchBlock(*coords)
+    assert str(exc.value) == want
+    with pytest.raises(StructuralViolationError) as exc:
+        MatchBlock(0, 0, 1)._replace(v_start=v_start, s_start=s_start, length=length)
+    assert str(exc.value) == want
+
+
+_triples = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 4))
+
+
+@given(_triples, _triples)
+def test_match_block_order_and_hash_are_the_field_tuple(a, b):
+    x, y = MatchBlock(*a), MatchBlock(*b)
+    assert (x < y, x <= y, x == y, x != y, x > y, x >= y) == (
+        a < b, a <= b, a == b, a != b, a > b, a >= b
+    )
+    assert hash(x) == hash(a)
+
+
+def test_match_block_is_immutable_and_pickles():
+    b = MatchBlock(1, 2, 3)
+    with pytest.raises(AttributeError):
+        b.length = 4
+    with pytest.raises(AttributeError):
+        b.extra = 0
+    again = pickle.loads(pickle.dumps(b))
+    assert type(again) is MatchBlock and again == b
+
+
+def test_match_block_equals_the_plain_triple():
+    # Deliberate: a MatchBlock is a tuple of its fields, so it equals (and
+    # hashes as) the plain triple, as the chainer's search triples assume.
+    assert MatchBlock(0, 0, 1) == (0, 0, 1)
+    assert {MatchBlock(0, 0, 1): "block"}[(0, 0, 1)] == "block"
 
 
 def test_validate_block_checks_symbols():

@@ -33,6 +33,7 @@ from seqalign import (
     smith_waterman,
 )
 from perfbench import workloads
+from seqalign import chainer
 from seqalign.core import UPPERCASE, CandidateAlignment
 from seqalign.gapstats import MODES
 from seqalign.io import _clean_body, _clean_line
@@ -437,21 +438,15 @@ def test_json_writer_on_fixed_cases(dna_pair, known_chains):
     assert '"mean": 1.5555555555555554,' in emit_report(replace(report, entries=((chain, odd),)), "json")
 
 
-@pytest.mark.parametrize(
-    "name, size, candidates", [("chain-random", 512, 1024), ("read-map", 8192, 3)]
-)
-def test_json_writer_on_benchmark_pairs(name, size, candidates):
-    # Full size, from seed 1 of the benchmark: 1,024 candidates of 512
-    # columns that share their blocks, and one read on an 8,192-residue
-    # reference.
+def _benchmark_report(name: str) -> AlignmentReport:
+    """The report of the first pair of the benchmark workload at seed 1."""
     workload = workloads.make(name, 1)
     pair = workload.pairs[0]
     s, v = Sequence(pair.s_id, pair.s), Sequence(pair.v_id, pair.v)
     index = enumerate_matches(s, v, MatchOptions(min_window=workload.min_window))
     opts = ChainOptions(max_candidates=1024, beam_width=workload.beam)
     result = enumerate_candidates(index, s, v, opts, SelectionPolicy())
-    assert (len(s), len(result.entries)) == (size, candidates)
-    report = AlignmentReport(
+    return AlignmentReport(
         algorithm="proposed",
         s=s,
         v=v,
@@ -462,7 +457,42 @@ def test_json_writer_on_benchmark_pairs(name, size, candidates):
         truncated=result.truncated,
         options={"min_window": workload.min_window, "beam_width": workload.beam},
     )
+
+
+@pytest.mark.parametrize(
+    "name, size, candidates", [("chain-random", 512, 1024), ("read-map", 8192, 3)]
+)
+def test_json_writer_on_benchmark_pairs(name, size, candidates):
+    # Full size, from seed 1 of the benchmark: 1,024 candidates of 512
+    # columns that share their blocks, and one read on an 8,192-residue
+    # reference.
+    report = _benchmark_report(name)
+    assert (len(report.s), len(report.entries)) == (size, candidates)
     assert emit_report(report, "json") == _reference_json(report)
+
+
+def test_writers_with_shared_pieces_on_a_benchmark_pair(monkeypatch):
+    # Both writers share one dict of render's pieces per report. At full
+    # size they write what rendering each candidate alone writes, and the
+    # 1,024 chains (12,067 block references) leave a few distinct pieces,
+    # not one per chain.
+    report = _benchmark_report("chain-random")
+    s, v = report.s, report.v
+    pieces = {}
+    for chain, _ in report.entries:
+        render(chain, s, v, pieces)
+    assert len(pieces) <= 200
+    shared = {form: emit_report(report, form) for form in ("text", "json")}
+    calls = []
+
+    def alone(chain, s, v, pieces=None):
+        calls.append(pieces)
+        return render(chain, s, v)
+
+    monkeypatch.setattr(chainer, "render", alone)
+    for form, text in shared.items():
+        assert emit_report(report, form) == text
+    assert len(calls) == 2 * len(report.entries)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -281,7 +281,8 @@ def _ordered_chains(draw, count=1):
         shared = chains[-1][: draw(st.integers(0, len(chains[-1])))] if chains else []
         blocks = list(shared)
         v_at, s_at = (shared[-1].v_end, shared[-1].s_end) if shared else (0, 0)
-        for v_skip, s_skip, length in draw(st.lists(steps, min_size=not shared, max_size=3)):
+        more = st.lists(steps, min_size=0 if shared else 1, max_size=3)
+        for v_skip, s_skip, length in draw(more):
             v_at, s_at = v_at + v_skip, s_at + s_skip
             blocks.append(MatchBlock(v_at, s_at, length))
             v_at, s_at = v_at + length, s_at + length

@@ -76,7 +76,10 @@ def test_match_block_fields_and_repr():
 @pytest.mark.parametrize("coords", [(-1, 0, 1), (0, -2, 1), (0, 0, 0), (3, 4, -1)])
 def test_match_block_bad_coordinates_message(coords):
     v_start, s_start, length = coords
-    want = f"bad block coordinates MatchBlock(v_start={v_start}, s_start={s_start}, length={length})"
+    want = (
+        "bad block coordinates "
+        f"MatchBlock(v_start={v_start}, s_start={s_start}, length={length})"
+    )
     with pytest.raises(StructuralViolationError) as exc:
         MatchBlock(*coords)
     assert str(exc.value) == want

@@ -46,6 +46,7 @@ from .matcher import (
     enumerate_matches,
     expected_comparisons,
 )
+from .pipeline import align
 
 __version__ = "0.1.0"
 
@@ -74,6 +75,7 @@ __all__ = [
     "SizeLimitError",
     "StructuralViolationError",
     "UPPERCASE",
+    "align",
     "chain_statistics",
     "count_comparisons",
     "emit_fasta",

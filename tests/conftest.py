@@ -15,6 +15,10 @@ from seqalign import CandidateAlignment, MatchBlock, Sequence
 S_DNA = "AGTCTAACTAGAATATACCGTACAGTACGAAG"
 V_DNA = "TACTAGGAG"
 
+# A 30 x 8 random ACGT pair with no full-coverage chain.
+S_NO_COVER = "GCACTGTCGCATCACAAACGATTAACTGAT"
+V_NO_COVER = "AAATGAGC"
+
 KNOWN_PLACEMENTS = (
     ((0, 2, 1), (1, 6, 5), (6, 19, 1), (7, 23, 2)),
     ((0, 4, 1), (1, 6, 5), (6, 19, 1), (7, 30, 2)),

@@ -121,7 +121,10 @@ def test_sort_key_compares_variance_exactly():
     assert select(entries, SelectionPolicy(mode="variance_only")) == 1
 
 
-@pytest.mark.xfail(strict=True, reason="mean_then_variance compares the float variance")
+@pytest.mark.xfail(
+    strict=True,
+    reason="mean_then_variance compares the float variance; the exact key of ROADMAP item 4 mends it",
+)
 def test_mean_then_variance_exact_ties_follow_block_order():
     # Mean 13/3 and variance 116/9 for both, read as 12.888888888888888 and
     # 12.888888888888891; the documented order then falls to the blocks.
@@ -167,7 +170,7 @@ def test_select_scale_invariant_for_mean_modes(run_lists, c):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="mean_then_variance compares the float variance; the exact key of ROADMAP item 2 mends it",
+    reason="mean_then_variance compares the float variance; the exact key of ROADMAP item 4 mends it",
 )
 def test_select_scale_invariant_on_an_exact_variance_tie():
     # Mean 13/3 and variance 116/9 for both; the float variances order the

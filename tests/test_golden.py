@@ -11,11 +11,7 @@ import hashlib
 import pytest
 
 from seqalign.cli import main
-from conftest import S_DNA, V_DNA
-
-# A 30 x 8 random ACGT pair with no full-coverage chain.
-S_NO_COVER = "GCACTGTCGCATCACAAACGATTAACTGAT"
-V_NO_COVER = "AAATGAGC"
+from conftest import S_DNA, S_NO_COVER, V_DNA, V_NO_COVER
 
 GOLDEN = (
     pytest.param(

@@ -19,6 +19,7 @@ from seqalign import (
     ScoringScheme,
     SelectionPolicy,
     Sequence,
+    align,
     chain_statistics,
     emit_fasta,
     emit_report,
@@ -439,23 +440,13 @@ def test_json_writer_on_fixed_cases(dna_pair, known_chains):
 
 
 def _benchmark_report(name: str) -> AlignmentReport:
-    """The report of the first pair of the benchmark workload at seed 1."""
+    """The report `seqalign align` writes for the first pair of the benchmark workload at seed 1."""
     workload = workloads.make(name, 1)
     pair = workload.pairs[0]
-    s, v = Sequence(pair.s_id, pair.s), Sequence(pair.v_id, pair.v)
-    index = enumerate_matches(s, v, MatchOptions(min_window=workload.min_window))
-    opts = ChainOptions(max_candidates=1024, beam_width=workload.beam)
-    result = enumerate_candidates(index, s, v, opts, SelectionPolicy())
-    return AlignmentReport(
-        algorithm="proposed",
-        s=s,
-        v=v,
-        entries=result.entries,
-        policy=SelectionPolicy().mode,
-        counters=index.counters,
-        full_coverage=result.full_coverage,
-        truncated=result.truncated,
-        options={"min_window": workload.min_window, "beam_width": workload.beam},
+    return align(
+        Sequence(pair.s_id, pair.s), Sequence(pair.v_id, pair.v),
+        match_opts=MatchOptions(min_window=workload.min_window),
+        chain_opts=ChainOptions(max_candidates=1024, beam_width=workload.beam),
     )
 
 

@@ -511,7 +511,7 @@ def test_survivor_cut_equals_scoring_every_completion(monkeypatch, mode):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(["AB", "ACGT"]),
+    st.sampled_from(["A", "AB", "AAB", "ACGT"]),
     st.integers(1, 3),
     st.integers(0, 2**32 - 1),
 )
@@ -521,7 +521,7 @@ def test_cover_test_agrees_with_the_oracle(symbols, min_window, seed):
     s, v = _random_pair(random.Random(seed), 14, 7, symbols)
     index = enumerate_matches(s, v, MatchOptions(min_window=min_window))
     want = bool(exhaustive_chains(index.blocks(), len(v)))
-    assert chainer._has_cover(chainer._block_table(index), len(v)) == want
+    assert chainer._has_cover(chainer._HitRows(index), len(v)) == want
 
 
 def _counting_searches(monkeypatch):
@@ -598,23 +598,55 @@ def _kept_cut_keys(mode, states):
     return lead, lambda state: (key(gapstats.statistics(chainer._runs(state[0]))), state[0])
 
 
+def _extension_lists(states):
+    """The states as extension lists: those that add one block of one row
+    and length to the same chain share a list, sorted by s_start."""
+    by_parent = {}
+    for blocks, s_end, total, cover in states:
+        *head, (row, s, length) = blocks
+        if head:
+            last = head[-1]
+            parent = (tuple(head), last[1] + last[2], total - (s - last[1] - last[2]), cover - length)
+        else:
+            parent = chainer._ROOT
+        by_parent.setdefault((parent, row, length), []).append(s)
+    return [(*key, sorted(starts), 0, len(starts)) for key, starts in by_parent.items()]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tied_groups())
 def test_cut_keeps_the_k_smallest_by_lead_then_rank(group):
     # For every k, the beam's keys and each policy's kept-cut keys: _cut
     # keeps the first k of the full (lead, rank) order, as a set. The beam
     # keeps the set of the old beam key, and each policy's cut the set of
-    # its sort_key's first k over the scored chains.
+    # its sort_key's first k over the scored chains. The states reach _cut
+    # as extension lists, several items to a list where they share a parent.
     states = [state for state, _ in group]
     assert all(chainer._runs(state[0]) == list(runs) for state, runs in group)
+    lists = _extension_lists(states)
+    assert sorted(chainer._states(lists)) == sorted(states)
+    items = [(entry, i) for entry in lists for i in range(entry[4], entry[5])]
     old = [(state[0], runs) for state, runs in group]
-    cuts = [(None, chainer._total, chainer._tie_rank)]
-    cuts += [(mode, *_kept_cut_keys(mode, states)) for mode in MODES]
+    cuts = [(None, lambda state: state[2], lists, chainer._beam_lead, chainer._tie_rank)]
+    for mode in MODES:
+        lead, rank = _kept_cut_keys(mode, states)
+        if mode == "variance_only":  # its order does not follow a list: one state to a list
+            singles = [entry for state in states for entry in _extension_lists([state])]
+            state_lead = lambda entry, i, lead=lead: lead(chainer._state(entry, i))
+            cuts.append((mode, lead, singles, state_lead, rank))
+        else:
+            cuts.append((mode, lead, lists, chainer._mean_lead, rank))
     chains = [CandidateAlignment(blocks=tuple(MatchBlock(*b) for b in st[0])) for st in states]
     scored = [(c, gapstats.chain_statistics(c, 100), st[0]) for c, st in zip(chains, states)]
+    for _, lead, _, list_lead, _ in cuts:
+        assert all(list_lead(*item) == lead(chainer._state(*item)) for item in items)
     for k in range(1, len(group) + 1):
-        for mode, lead, rank in cuts:
-            got = {state[0] for state in chainer._cut(states, k, lead, rank)}
+        for mode, lead, mode_lists, list_lead, rank in cuts:
+            kept = chainer._cut(mode_lists, k, list_lead, rank)
+            assert len(kept) == k
+            if len(states) > k:  # a cut comes out in lead order
+                assert [lead(state) for state in kept] == sorted(map(lead, kept))
+            got = {state[0] for state in kept}
             assert got == {st[0] for st in sorted(states, key=lambda x: (lead(x), rank(x)))[:k]}
             if mode is None:
                 want = heapq.nsmallest(k, old, key=_old_beam_key)
@@ -671,21 +703,22 @@ def _parent_search(table, n, m, opts, full_cover):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from(["AB", "ACGT"]),
+    st.sampled_from(["A", "AB", "AAB", "ACGT"]),
     st.integers(1, 3),
     st.integers(0, 2**32 - 1),
 )
 def test_search_equals_the_parent_search(symbols, min_window, seed):
     # The same completions at every beam, in both modes; for the fallback,
     # the parent's completions at their maximal coverage. Each state's total
-    # and cover are its runs' sum and its blocks' lengths.
+    # and cover are its runs' sum and its blocks' lengths. A and AAB make
+    # the largest tie classes on the beam's boundary total.
     s, v = _random_pair(random.Random(seed), 16, 7, symbols)
     index = enumerate_matches(s, v, MatchOptions(min_window=min_window))
     m, n = len(s), len(v)
     old_table = {}
     for b in index.blocks():
         old_table.setdefault(b.v_start, []).append((b.v_start, b.s_start, b.length))
-    table = chainer._block_table(index)
+    table = chainer._HitRows(index)
     for width in (1, 2, 3, 8):
         opts = ChainOptions(beam_width=width)
         for full_cover in (True, False):
@@ -696,5 +729,5 @@ def test_search_equals_the_parent_search(symbols, min_window, seed):
             if old and not full_cover:
                 best = max(state[3] for state in old)
                 old = [state for state in old if state[3] == best]
-            new = chainer._search(table, n, m, opts, full_cover)
+            new = chainer._states(chainer._search(table, n, m, opts, full_cover))
             assert sorted(new) == sorted(old), (s.residues, v.residues, width, full_cover)

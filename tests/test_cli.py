@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perfbench import workloads
-from seqalign import baselines, chainer, cli, matcher, oracle
+from seqalign import baselines, chainer, cli, matcher, oracle, verify
 from seqalign.core import Sequence
 from seqalign.cli import main
 from conftest import KNOWN_PLACEMENTS, ROOT, S_DNA, V_DNA
@@ -160,13 +161,20 @@ def test_lost_cover_pair_has_24_covers_that_beam_1000_finds():
     }
 
 
+# A chain-random pair (seed 34, pair 53) whose full covers its pinned beam of
+# 64 loses, so a benchmark run on that seed exits 2.
+_SEED_34_PAIR_53 = workloads.chain_random(34).pairs[53]
+LOST_COVERS = [(*LOST_COVER, ()), (_SEED_34_PAIR_53.s, _SEED_34_PAIR_53.v, ("--beam", "64"))]
+
+
 def test_lost_cover_pair_has_a_cover_the_default_beam_loses():
     # The cover test finds the tiling, so the full-cover search runs; the
     # beam then loses every cover and the run falls back to partial.
-    s, v = (Sequence(name, x) for name, x in zip("sv", LOST_COVER))
-    assert chainer._has_cover(chainer._block_table(matcher.enumerate_matches(s, v)), len(v))
-    code, doc = _align_json(("--s", s.residues, "--v", v.residues), False)
-    assert code == 2 and not doc["full_coverage"]
+    for s, v, flags in LOST_COVERS:
+        index = matcher.enumerate_matches(Sequence("s", s), Sequence("v", v))
+        assert chainer._has_cover(chainer._HitRows(index), len(v))
+        code, doc = _align_json(("--s", s, "--v", v, *flags), False)
+        assert code == 2 and not doc["full_coverage"], flags
 
 
 @pytest.mark.xfail(
@@ -175,8 +183,10 @@ def test_lost_cover_pair_has_a_cover_the_default_beam_loses():
            "ROADMAP items 1, 2 and 4 (an exact search, exact by default) mend it",
 )
 def test_lost_cover_pair_default_run_reports_full_cover():
-    code, doc = _align_json(("--s", LOST_COVER[0], "--v", LOST_COVER[1]), False)
-    assert doc["full_coverage"] and code == 0
+    # Passes only once every pair of LOST_COVERS reports its full cover.
+    for s, v, flags in LOST_COVERS:
+        code, doc = _align_json(("--s", s, "--v", v, *flags), False)
+        assert doc["full_coverage"] and code == 0, flags
 
 
 def test_align_swap_handles_longer_fragment(capsys):
@@ -256,6 +266,13 @@ def test_align_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "align", "--s", "AC", "--v", "C", "--min-window", "0")
     assert code == 1
+    # The search flags are checked whatever --algo reads them, as --scheme is.
+    for algo in ("nw", "sw"):
+        for flag in ("--min-window", "--max-candidates", "--beam"):
+            code, out, err = run(capsys, "align", "--s", "ACGTTGCA", "--v", "TTG",
+                                 "--algo", algo, flag, "0")
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _chain_random_argv(fmt="json"):
@@ -273,8 +290,8 @@ def collector_on():
 
 
 def test_align_starts_no_garbage_collection(capsys, collector_on):
-    # With the collector on, such an alignment would start about 140
-    # young-generation passes over its search states; align pauses it.
+    # With the collector on, such an alignment would start about 16
+    # young-generation passes over its states and report; align pauses it.
     starts = []
     hook = lambda phase, info: starts.append(info) if phase == "start" else None
     gc.callbacks.append(hook)
@@ -359,15 +376,16 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("m", [100, 300])
-def test_align_under_a_memory_limit_ends_in_a_report_or_one_error_line(m):
-    # A x m against A x m/10 with 1 GiB of address space: every partial chain
-    # ties, and the beam's memory grows fast with m, so A x 300 can run out
-    # under the limit. Either outcome keeps the contract; a traceback does not.
-    done = _run_module(
-        "align", "--s", "A" * m, "--v", "A" * (m // 10),
-        preexec_fn=_limit_address_space, timeout=300,
-    )
+def _random_dna_pair(seed, m, n):
+    rng = random.Random(seed)
+    s = "".join(rng.choice("ACGT") for _ in range(m))
+    return s, "".join(rng.choice("ACGT") for _ in range(n))
+
+
+def _align_in_a_child(s, v):
+    """`align` in a child with 1 GiB of address space: it must end in a
+    report (exit 0 or 2) or in one `error: ` line (exit 1), never a traceback."""
+    done = _run_module("align", "--s", s, "--v", v, preexec_fn=_limit_address_space, timeout=300)
     assert "Traceback" not in done.stderr
     if done.returncode == 1:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
@@ -375,6 +393,22 @@ def test_align_under_a_memory_limit_ends_in_a_report_or_one_error_line(m):
     else:
         assert done.returncode in (0, 2), done.stderr
         assert done.stdout.startswith("algorithm: proposed") and done.stderr == ""
+    return done
+
+
+@pytest.mark.parametrize("m", [100, 200, 300, 400])
+def test_align_under_a_memory_limit_ends_in_a_report_or_one_error_line(m):
+    # A x m against A x m/10: every partial chain ties, so the beam's groups
+    # are full at every position. The search builds only the states it keeps,
+    # so each size ends in a full-cover report.
+    done = _align_in_a_child("A" * m, "A" * (m // 10))
+    assert done.returncode == 0
+    assert "coverage: full" in done.stdout
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_1024_by_64_under_a_memory_limit_ends_in_a_report_or_one_error_line(seed):
+    _align_in_a_child(*_random_dna_pair(seed, 1024, 64))
 
 
 @pytest.mark.parametrize("algo", ["nw", "sw"])
@@ -430,6 +464,23 @@ def test_verify_zero_cases_is_usage_error(capsys, argv):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert out == ""
+
+
+def test_verify_bound_help_follows_the_suite_table(monkeypatch):
+    # The --max-m/--max-n help names each suite's defaults and caps as
+    # verify.SUITES holds them, including a suite added to the table.
+    def help_of(flag):
+        verify_parser = cli.build_parser()._subparsers._group_actions[0].choices["verify"]
+        return next(a.help for a in verify_parser._actions if flag in a.option_strings)
+
+    assert help_of("--max-m") == (
+        "reference length bound (suite defaults: matcher 20, chainer 12, nw 8, sw 8; "
+        "caps: nw 8, sw 8)"
+    )
+    assert help_of("--max-n").startswith("fragment length bound (suite defaults: matcher 10, ")
+    monkeypatch.setitem(verify.SUITES, "select", (None, 30, 9, 40))
+    assert help_of("--max-m").endswith("sw 8, select 30; caps: nw 8, sw 8, select 40)")
+    assert help_of("--max-n").endswith("sw 8, select 9; caps: nw 8, sw 8, select 40)")
 
 
 def test_verify_reports_counterexample_for_bad_build(capsys, monkeypatch):
@@ -502,12 +553,12 @@ def test_verify_reports_counterexample_for_bad_build(capsys, monkeypatch):
             truncated=len(full.entries) > opts.max_candidates,
         )
 
-    # Then a fallback that reads every search state's coverage as 0, so it
+    # Then a fallback that reads every extension list's coverage as 0, so it
     # keeps the partial chains of every coverage, not only of the best: the
     # chainer suite checks no-cover pairs against the oracle's fallback.
     for target, name, bad in (
         (chainer, "enumerate_candidates", keeps_worst),
-        (chainer, "_cover", lambda state: 0),
+        (chainer, "_cover", lambda entry: 0),
     ):
         monkeypatch.undo()
         monkeypatch.setattr(target, name, bad)

@@ -1,10 +1,11 @@
 """Command-line entry point: align, verify, and bench subcommands.
 
-Exit codes are part of the interface: 0 success, 1 usage or parse error
-or out of memory, 2 no full-coverage alignment without --partial,
-3 verification found a counterexample. Errors go to standard error
-prefixed with "error: "; a run that exhausts memory prints one
-"error: out of memory" line.
+Exit codes are part of the interface: 0 success, 1 usage or parse error,
+a report that cannot be written, or out of memory, 2 no full-coverage
+alignment without --partial, 3 verification found a counterexample.
+main alone turns a failure into exit 1 and one line on standard error
+prefixed with "error: "; a run that exhausts memory prints
+"error: out of memory".
 align runs with the cyclic garbage collector paused; memory use is the same.
 """
 
@@ -19,7 +20,7 @@ import random
 import sys
 
 from . import bench, chainer, io, matcher, verify
-from .core import ScoringScheme, SeqalignError, get_alphabet
+from .core import ALGORITHMS, ALPHABETS, ScoringScheme, SeqalignError, get_alphabet
 from .pipeline import align
 
 EXIT_OK = 0
@@ -36,13 +37,9 @@ _POLICY_BY_FLAG = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("files", nargs="*", help="two FASTA or plain-text sequence files")
     p_align.add_argument("--s", dest="s_literal", help="reference sequence literal")
     p_align.add_argument("--v", dest="v_literal", help="fragment sequence literal")
-    p_align.add_argument("--algo", choices=("proposed", "nw", "sw"), default="proposed")
+    p_align.add_argument("--algo", choices=ALGORITHMS, default="proposed")
     p_align.add_argument(
         "--select", choices=tuple(_POLICY_BY_FLAG), default="mean",
         help="candidate selection policy (default: mean, i.e. mean then variance)",
@@ -72,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("--scheme", default="1,-1,-1", metavar="MATCH,MISMATCH,GAP",
                          help="scoring for the nw/sw baselines")
     p_align.add_argument(
-        "--alphabet", choices=("upper", "dna"),
+        "--alphabet", choices=tuple(ALPHABETS),
         help="alphabet preset (default: env SEQALIGN_ALPHABET, else upper)",
     )
     p_align.set_defaults(func=cmd_align)
@@ -102,40 +99,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _bound_help(what: str, default) -> str:
     """A --max-m/--max-n help text read off verify.SUITES: each suite's
-    default(entry), then the suites whose bounds are capped."""
+    default(entry), then each suite's cap."""
     suites = verify.SUITES.items()
     text = ", ".join(f"{name} {default(entry)}" for name, entry in suites)
-    caps = [f"{name} {entry[3]}" for name, entry in suites if entry[3] < math.inf]
-    if caps:
-        text += f"; caps: {', '.join(caps)}"
-    return f"{what} bound (suite defaults: {text})"
+    caps = ", ".join(f"{name} {entry[3]}" for name, entry in suites)
+    return f"{what} bound (suite defaults: {text}; caps: {caps})"
 
 
 def _parse_scheme(text: str) -> ScoringScheme:
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError("--scheme expects MATCH,MISMATCH,GAP")
+        raise ValueError("--scheme expects MATCH,MISMATCH,GAP")
     try:
         match, mismatch, gap = (float(p) for p in parts)
         return ScoringScheme(match_score=match, mismatch_penalty=mismatch, gap_penalty=gap)
     except ValueError as exc:
-        raise UsageError(f"bad --scheme: {exc}") from None
+        raise ValueError(f"bad --scheme: {exc}") from None
 
 
 def _load_pair(args) -> tuple:
     # Read per call, not when the parser is built: main reuses one parser.
     alphabet = get_alphabet(args.alphabet or os.environ.get("SEQALIGN_ALPHABET", "upper"))
-    if args.s_literal is not None or args.v_literal is not None:
-        if args.files or args.s_literal is None or args.v_literal is None:
-            raise UsageError("give either two files or both --s and --v")
-        s = io.parse_plain(args.s_literal, id="s", alphabet=alphabet)
-        v = io.parse_plain(args.v_literal, id="v", alphabet=alphabet)
-        return s, v
-    if len(args.files) != 2:
-        raise UsageError("give either two files or both --s and --v")
-    s = io.load_sequences(args.files[0], alphabet)[0]
-    v = io.load_sequences(args.files[1], alphabet)[0]
-    return s, v
+    literals = (args.s_literal, args.v_literal)
+    if None not in literals and not args.files:
+        return tuple(io.parse_plain(text, name, alphabet) for text, name in zip(literals, "sv"))
+    if literals != (None, None) or len(args.files) != 2:
+        raise ValueError("give either two files or both --s and --v")
+    return tuple(io.load_sequences(path, alphabet)[0] for path in args.files)
 
 
 def cmd_align(args) -> int:
@@ -163,11 +153,8 @@ def cmd_align(args) -> int:
 def _align(args) -> int:
     # Every flag is checked whatever --algo reads it.
     scheme = _parse_scheme(args.scheme)
-    try:
-        match_opts = matcher.MatchOptions(min_window=args.min_window)
-        chain_opts = chainer.ChainOptions(max_candidates=args.max_candidates, beam_width=args.beam)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    match_opts = matcher.MatchOptions(min_window=args.min_window)
+    chain_opts = chainer.ChainOptions(max_candidates=args.max_candidates, beam_width=args.beam)
     s, v = _load_pair(args)
     report = align(
         s, v, algo=args.algo, policy=_POLICY_BY_FLAG[args.select], match_opts=match_opts,
@@ -183,10 +170,10 @@ def _align(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.cases < 1:
-        raise UsageError("--cases must be >= 1")
+        raise ValueError("--cases must be >= 1")
     for flag, value in (("--max-m", args.max_m), ("--max-n", args.max_n)):
         if value is not None and value < 1:
-            raise UsageError(f"{flag} must be >= 1")
+            raise ValueError(f"{flag} must be >= 1")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         suite, max_m, max_n, cap = verify.SUITES[name]
@@ -220,18 +207,15 @@ def _parse_size_range(spec: str) -> list:
             return values
         return [int(p) for p in spec.split(",") if p.strip()]
     except (ValueError, OverflowError) as exc:  # a size past the float range
-        raise UsageError(f"bad size range {spec!r}: {exc}") from None
+        raise ValueError(f"bad size range {spec!r}: {exc}") from None
 
 
 def cmd_bench(args) -> int:
     m_values = _parse_size_range(args.m_range)
     n_values = _parse_size_range(args.n_range)
-    try:
-        report = bench.measure_growth(
-            m_values, n_values, symbols=args.alphabet, seed=args.seed, repeats=args.repeats
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = bench.measure_growth(
+        m_values, n_values, symbols=args.alphabet, seed=args.seed, repeats=args.repeats
+    )
     sys.stdout.write(bench.format_table(report))
     return EXIT_OK
 
@@ -243,15 +227,25 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: the one place where a failure becomes exit 1 and
+    an "error: " line. Any exception not caught here is a bug and propagates."""
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
-    except (UsageError, SeqalignError) as exc:
-        print(f"{ERROR_PREFIX}{exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write error surfaces only here
+        return code
+    except (ValueError, OSError, SeqalignError) as exc:  # bad value or input, unwritable report
+        message = str(exc)
     except MemoryError:  # a stopgap until the search's work is bounded
-        print(f"{ERROR_PREFIX}out of memory", file=sys.stderr)
-        return EXIT_USAGE
+        message = "out of memory"
+    try:  # bytes stdout cannot write would fail again in the interpreter's exit flush
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    print(f"{ERROR_PREFIX}{message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -63,6 +63,9 @@ DNA = Alphabet("dna", frozenset("ACGT"))
 
 ALPHABETS = {a.name: a for a in (UPPERCASE, DNA)}
 
+# The alignment algorithms: the proposed method and the two DP baselines.
+ALGORITHMS = ("proposed", "nw", "sw")
+
 
 def get_alphabet(name: str) -> Alphabet:
     try:
@@ -235,7 +238,7 @@ class AlignmentReport:
     single scored alignment and `entries` is empty.
     """
 
-    algorithm: str  # "proposed" | "nw" | "sw"
+    algorithm: str  # one of ALGORITHMS
     s: Sequence
     v: Sequence
     entries: tuple = ()
@@ -249,7 +252,7 @@ class AlignmentReport:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.algorithm not in ("proposed", "nw", "sw"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm tag {self.algorithm!r}")
         if self.entries and not 0 <= self.selected < len(self.entries):
             raise ValueError("selected index out of range")

@@ -8,7 +8,7 @@ attribute sees every call.
 from __future__ import annotations
 
 from . import baselines, chainer, gapstats, matcher
-from .core import AlignmentReport, ComparisonCounters, ScoringScheme, Sequence
+from .core import ALGORITHMS, AlignmentReport, ComparisonCounters, ScoringScheme, Sequence
 
 
 def align(
@@ -24,9 +24,11 @@ def align(
     placed row read as insertions. require_full_coverage only goes into the
     report's options: the search is the same either way.
     """
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algo {algo!r}; choose from {ALGORITHMS}")
     if swap:
         s, v = v, s
-    if algo in ("nw", "sw"):
+    if algo != "proposed":
         scheme = scheme or ScoringScheme()
         dp = baselines.needleman_wunsch if algo == "nw" else baselines.smith_waterman
         return AlignmentReport(
@@ -39,8 +41,6 @@ def align(
             swapped=swap,
             options={"scheme": [scheme.match_score, scheme.mismatch_penalty, scheme.gap_penalty]},
         )
-    if algo != "proposed":
-        raise ValueError(f"unknown algo {algo!r}; choose from ('proposed', 'nw', 'sw')")
     selection = gapstats.SelectionPolicy(policy or gapstats.SelectionPolicy.mode)
     chain_opts = chain_opts or chainer.ChainOptions()
     index = matcher.enumerate_matches(s, v, match_opts)

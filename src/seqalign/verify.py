@@ -8,7 +8,6 @@ every case passes.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from statistics import pvariance
 
@@ -123,11 +122,13 @@ def _verify_dp(rng, cases, max_m, max_n, local):
 
 
 # name -> (suite, default max_m, default max_n, cap on both). The brute-force
-# scorers of the nw and sw suites refuse sequences longer than their cap.
+# scorers of the nw and sw suites refuse sequences longer than their cap; the
+# other caps keep a case to seconds, where an unbounded length could draw a
+# sequence of billions of residues.
 _DP = oracle.MAX_SCORE_LEN
 SUITES = {
-    "matcher": (_verify_matcher, 20, 10, math.inf),
-    "chainer": (_verify_chainer, 12, 6, math.inf),
+    "matcher": (_verify_matcher, 20, 10, 100),
+    "chainer": (_verify_chainer, 12, 6, 1000),
     "nw": (functools.partial(_verify_dp, local=False), _DP, _DP, _DP),
     "sw": (functools.partial(_verify_dp, local=True), _DP, _DP, _DP),
 }

@@ -10,6 +10,7 @@ from seqalign import (
     EmptyInputError,
     GapStatistics,
     SelectionPolicy,
+    StructuralViolationError,
     chain_statistics,
     gap_runs,
     select,
@@ -59,6 +60,11 @@ def test_gap_runs_identity_chain_has_none():
 def test_gap_runs_empty_chain_errors():
     with pytest.raises(EmptyInputError):
         gap_runs(CandidateAlignment(blocks=()), 10)
+
+
+def test_gap_runs_chain_past_the_reference_errors():
+    with pytest.raises(StructuralViolationError, match="reference length 5"):
+        gap_runs(chain_of(((0, 0, 2), (2, 4, 2))), 5)
 
 
 NO_BLOCKS = CandidateAlignment(blocks=())

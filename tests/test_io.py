@@ -140,6 +140,10 @@ def test_parse_rendered_errors_name_the_column():
         parse_rendered(("AXB", "", "A--"), s, v)  # fragment symbol missing
     with pytest.raises(ParseError):
         parse_rendered("AXB\nA-B", s, v)  # not a three-line block
+    with pytest.raises(ParseError, match="line 1"):
+        parse_rendered(("AXC", "", "A-B"), s, v)  # line 1 is not the reference
+    with pytest.raises(ParseError, match="no matched positions"):
+        parse_rendered(("AXB", "", "BA-"), s, Sequence("v", "BA"))  # no column matches
 
 
 def test_render_parse_round_trip_random_chains():
@@ -247,8 +251,12 @@ def test_unknown_schema_version_rejected(dna_pair, known_chains):
             {**doc, "candidates": [{**doc["candidates"][0], "blocks": [[0, 1]]}]}
         ),
         lambda doc: json.dumps({**doc, "candidates": [7]}),
+        lambda doc: '{"schema_version": 1, ',
+        lambda doc: json.dumps({**doc, "algorithm": "blast"}),
+        lambda doc: json.dumps({**doc, "selected": len(doc["candidates"])}),
     ],
-    ids=["no-fields", "not-an-object", "two-element-block", "candidate-not-an-object"],
+    ids=["no-fields", "not-an-object", "two-element-block", "candidate-not-an-object",
+         "not-json", "unknown-algorithm", "selected-out-of-range"],
 )
 def test_malformed_report_raises_parse_error(dna_pair, known_chains, make):
     doc = json.loads(emit_report(_dna_report(dna_pair, known_chains), "json"))

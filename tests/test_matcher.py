@@ -250,6 +250,8 @@ def test_empty_and_misordered_inputs():
     s, v = _pair("ACGT", "")
     with pytest.raises(EmptyInputError):
         enumerate_matches(s, v)
+    with pytest.raises(EmptyInputError, match="reference"):
+        enumerate_matches(*_pair("", "AC"))
     with pytest.raises(OrderViolationError):
         enumerate_matches(Sequence("s", "AC"), Sequence("v", "ACGT"))
     with pytest.raises(ValueError):

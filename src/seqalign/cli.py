@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_align = sub.add_parser("align", help="align a fragment against a reference")
-    p_align.add_argument("files", nargs="*", help="two FASTA or plain-text sequence files")
+    p_align.add_argument("files", nargs="*",
+                         help="two FASTA or plain-text sequence files, one sequence each")
     p_align.add_argument("--s", dest="s_literal", help="reference sequence literal")
     p_align.add_argument("--v", dest="v_literal", help="fragment sequence literal")
     p_align.add_argument("--algo", choices=ALGORITHMS, default="proposed")
@@ -125,7 +126,13 @@ def _load_pair(args) -> tuple:
         return tuple(io.parse_plain(text, name, alphabet) for text, name in zip(literals, "sv"))
     if literals != (None, None) or len(args.files) != 2:
         raise ValueError("give either two files or both --s and --v")
-    return tuple(io.load_sequences(path, alphabet)[0] for path in args.files)
+    pair = []
+    for path in args.files:
+        records = io.load_sequences(path, alphabet)
+        if len(records) > 1:
+            raise ValueError(f"{path}: {len(records)} records; align reads one sequence per file")
+        pair.append(records[0])
+    return tuple(pair)
 
 
 def cmd_align(args) -> int:

@@ -101,6 +101,12 @@ def canonicalize(chain: CandidateAlignment) -> CandidateAlignment:
     return CandidateAlignment(blocks=tuple(merged))
 
 
+def check_chain_size(count: int) -> None:
+    """Refuse count blocks past the exhaustive-chain limit, before any is built."""
+    if count > MAX_CHAIN_BLOCKS:
+        raise SizeLimitError(f"{count} blocks exceed the exhaustive-chain limit of {MAX_CHAIN_BLOCKS}")
+
+
 def exhaustive_chains(blocks: list, n: int) -> list:
     """Every canonical full-coverage chain over the given blocks, such as a
     match index's blocks() or any hand-picked set.
@@ -108,25 +114,19 @@ def exhaustive_chains(blocks: list, n: int) -> list:
     Explores all valid tilings of the fragment, including ones with blocks
     contiguous in both sequences, then canonicalizes and deduplicates.
     """
-    if len(blocks) > MAX_CHAIN_BLOCKS:
-        raise SizeLimitError(
-            f"{len(blocks)} blocks exceed the exhaustive-chain limit of {MAX_CHAIN_BLOCKS}"
-        )
+    check_chain_size(len(blocks))
     by_v: dict = {}
     for b in blocks:
         by_v.setdefault(b.v_start, []).append(b)
     for lst in by_v.values():
         lst.sort()
 
-    seen = set()
-    out = []
+    found = {}
 
     def extend(v_pos: int, s_end: int, acc: tuple) -> None:
         if v_pos == n:
             chain = canonicalize(CandidateAlignment(blocks=acc))
-            if chain.blocks not in seen:
-                seen.add(chain.blocks)
-                out.append(chain)
+            found[chain.blocks] = chain
             return
         for b in by_v.get(v_pos, ()):
             if b.s_start >= s_end:
@@ -134,7 +134,7 @@ def exhaustive_chains(blocks: list, n: int) -> list:
 
     if n > 0:
         extend(0, 0, ())
-    return out
+    return list(found.values())
 
 
 def exhaustive_partial_chains(blocks: list, m: int, n: int) -> list:
@@ -148,10 +148,7 @@ def exhaustive_partial_chains(blocks: list, m: int, n: int) -> list:
     All such chains are explored, then canonicalized and deduplicated, and
     those of the largest coverage are kept; no blocks at all gives [].
     """
-    if len(blocks) > MAX_CHAIN_BLOCKS:
-        raise SizeLimitError(
-            f"{len(blocks)} blocks exceed the exhaustive-chain limit of {MAX_CHAIN_BLOCKS}"
-        )
+    check_chain_size(len(blocks))
     found = {}
 
     def extend(acc: tuple) -> None:
@@ -175,35 +172,33 @@ def _combo(length: int, k: int) -> np.ndarray:
     return np.array(list(combinations(range(length), k)), dtype=np.intp)
 
 
-def _byte_array(seq: Sequence) -> np.ndarray:
-    return np.frombuffer(seq.residues.encode("ascii"), dtype=np.uint8)
-
-
-def _check_score_size(s: Sequence, v: Sequence) -> None:
-    if len(s) > MAX_SCORE_LEN or len(v) > MAX_SCORE_LEN:
-        raise SizeLimitError(
-            f"sequences longer than {MAX_SCORE_LEN} exceed the exhaustive-score limit"
+def _exhaustive_score(s: Sequence, v: Sequence, scheme: ScoringScheme, local: bool) -> float:
+    """The best score over every pairing, in the two modes that differ where
+    baselines._align does: the best starts at the empty alignment's 0
+    (local) or the all-gaps score (global), and the gaps are the unpaired
+    symbols in the pairing's tight span (local) or all of them (global)."""
+    m, n = len(s), len(v)
+    if m > MAX_SCORE_LEN or n > MAX_SCORE_LEN:
+        raise SizeLimitError(f"sequences longer than {MAX_SCORE_LEN} exceed the exhaustive-score limit")
+    a, b = (np.frombuffer(x.residues.encode("ascii"), dtype=np.uint8) for x in (s, v))
+    best = 0.0 if local else scheme.gap_penalty * (m + n)
+    for k in range(1, min(m, n) + 1):
+        si, vi = _combo(m, k), _combo(n, k)
+        matches = (a[si][:, None, :] == b[vi][None, :, :]).sum(axis=2)
+        span_s, span_v = (si[:, -1] - si[:, 0] + 1, vi[:, -1] - vi[:, 0] + 1) if local else (m, n)
+        scores = (
+            matches * scheme.match_score
+            + (k - matches) * scheme.mismatch_penalty
+            + scheme.gap_penalty * np.add.outer(span_s - k, span_v - k)
         )
+        best = max(best, float(scores.max()))
+    return float(best)
 
 
 def exhaustive_global_score(s: Sequence, v: Sequence, scheme: ScoringScheme) -> float:
     """Maximum score over all global alignments, by scoring every monotone
     pairing of k reference positions with k fragment positions (k = 0..min)."""
-    _check_score_size(s, v)
-    m, n = len(s), len(v)
-    a, b = _byte_array(s), _byte_array(v)
-    best = scheme.gap_penalty * (m + n)  # the all-gaps alignment (k = 0)
-    for k in range(1, min(m, n) + 1):
-        si = _combo(m, k)
-        vi = _combo(n, k)
-        matches = (a[si][:, None, :] == b[vi][None, :, :]).sum(axis=2)
-        scores = (
-            matches * scheme.match_score
-            + (k - matches) * scheme.mismatch_penalty
-            + scheme.gap_penalty * ((m - k) + (n - k))
-        )
-        best = max(best, float(scores.max()))
-    return float(best)
+    return _exhaustive_score(s, v, scheme, local=False)
 
 
 def exhaustive_local_score(s: Sequence, v: Sequence, scheme: ScoringScheme) -> float:
@@ -214,20 +209,4 @@ def exhaustive_local_score(s: Sequence, v: Sequence, scheme: ScoringScheme) -> f
     scoring every pairing with tight-span gap costs therefore visits every
     substring-pair optimum.
     """
-    _check_score_size(s, v)
-    m, n = len(s), len(v)
-    a, b = _byte_array(s), _byte_array(v)
-    best = 0.0  # the empty alignment
-    for k in range(1, min(m, n) + 1):
-        si = _combo(m, k)
-        vi = _combo(n, k)
-        matches = (a[si][:, None, :] == b[vi][None, :, :]).sum(axis=2)
-        span_s = si[:, -1] - si[:, 0] + 1 - k
-        span_v = vi[:, -1] - vi[:, 0] + 1 - k
-        scores = (
-            matches * scheme.match_score
-            + (k - matches) * scheme.mismatch_penalty
-            + scheme.gap_penalty * (span_s[:, None] + span_v[None, :])
-        )
-        best = max(best, float(scores.max()))
-    return float(best)
+    return _exhaustive_score(s, v, scheme, local=True)

@@ -259,7 +259,7 @@ def test_parser_is_built_once_and_reads_the_alphabet_per_call(capsys, monkeypatc
     assert cli._parser() is parser
 
 
-def test_align_usage_errors(capsys):
+def test_align_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "align", "--s", "AC")
     assert code == 1 and err.startswith("error: ")
     code, _, err = run(capsys, "align")
@@ -277,6 +277,14 @@ def test_align_usage_errors(capsys):
                                  "--algo", algo, flag, "0")
             assert code == 1 and out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+    # A file of several records is refused, not cut to its first.
+    two, one = tmp_path / "two.fa", tmp_path / "one.fa"
+    two.write_text(">a\nACGT\n>b\nTTGA\n")
+    one.write_text(">f\nCG\n")
+    for files in ((two, one), (one, two)):
+        code, out, err = run(capsys, "align", *map(str, files))
+        assert (code, out) == (1, "")
+        assert err == f"error: {two}: 2 records; align reads one sequence per file\n"
 
 
 def _chain_random_argv(fmt="json"):
@@ -608,12 +616,16 @@ def test_verify_reports_counterexample_for_bad_build(capsys, monkeypatch):
 
 
 def test_verify_chainer_past_the_oracle_limit_fails_before_searching(capsys, monkeypatch):
-    # Seed 0, case 0 draws m 865, n 198: 169,761 blocks. The oracle refuses
-    # them at once, before the uncapped search, which has no size bound.
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the uncapped search ran before the oracle")
+    # Seed 0, case 0 draws m 865, n 198: 169,761 blocks. The oracle's limit
+    # refuses them, counted on the hit rows, before a block is built and
+    # before the uncapped search, which has no size bound.
+    def unreachable(what):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{what} ran before the oracle's limit")
+        return fail
 
-    monkeypatch.setattr(chainer, "enumerate_candidates", unreachable)
+    monkeypatch.setattr(chainer, "enumerate_candidates", unreachable("the uncapped search"))
+    monkeypatch.setattr(matcher.MatchIndex, "blocks", unreachable("MatchIndex.blocks"))
     code, out, err = run(
         capsys, "verify", "--suite", "chainer", "--max-m", "1000", "--max-n", "400",
         "--cases", "3",

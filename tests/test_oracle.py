@@ -13,6 +13,7 @@ from seqalign import (
 from seqalign.oracle import (
     MAX_CHAIN_BLOCKS,
     canonicalize,
+    check_chain_size,
     exhaustive_chains,
     exhaustive_global_score,
     exhaustive_local_score,
@@ -81,6 +82,9 @@ def test_exhaustive_chains_size_limit():
         exhaustive_chains(many, 1)
     with pytest.raises(SizeLimitError):
         exhaustive_partial_chains(many, MAX_CHAIN_BLOCKS + 1, 1)
+    check_chain_size(MAX_CHAIN_BLOCKS)  # the limit itself is allowed
+    with pytest.raises(SizeLimitError, match=f"^{MAX_CHAIN_BLOCKS + 1} blocks exceed the"):
+        check_chain_size(MAX_CHAIN_BLOCKS + 1)
 
 
 def _partial_keys(s, v):
